@@ -262,54 +262,33 @@ struct InterpCase {
   std::string kernel;
   std::size_t trace_accesses = 0;
   std::uint64_t leaf_steps = 0;
-  std::size_t elided_ops = 0;  ///< element accesses the verifier proved
-  std::size_t elem_ops = 0;    ///< total element-access ops
   double tree_eps = 0;  ///< executions per second
   double vm_eps = 0;
-  double vm_elided_eps = 0;  ///< VM on verifier-elided (unchecked) bytecode
   double speedup = 0;
-  double elision_speedup = 0;  ///< elided VM over checked VM
 };
 
 InterpCase time_interp_case(const std::string& kernel, std::size_t execs) {
   const auto b = suite::make_benchmark(kernel);
   const ir::Linked linked = ir::lower(b.program);
-  // Compilation is hoisted out of the timed loop, exactly as the analyzer
-  // amortizes it across a study's executions. The elided variant is the
-  // same bytecode after the static verifier (ir/verify) rewrote every
-  // provably-in-bounds element access to its unchecked opcode.
-  const ir::BytecodeProgram bytecode = ir::compile(b.program, linked);
-  ir::BytecodeProgram elided = bytecode;
-  const ir::VerifyResult facts = ir::verify(elided);
-  if (!facts.ok()) {
-    std::fprintf(stderr, "verifier rejected kernel %s:\n%s", kernel.c_str(),
-                 facts.describe().c_str());
-    std::abort();
-  }
-  const std::size_t elided_ops = ir::apply_elision(elided, facts);
+  // Compilation and verification are hoisted out of the timed loop, exactly
+  // as the analyzer amortizes them across a study's executions.
+  const ir::BytecodeProgram bytecode = ir::compile_verified(b.program, linked);
 
-  // Equivalence guard: tree, checked VM and elided VM must agree.
+  // Equivalence guard: tree and VM must agree before anything is timed.
   const ir::ExecResult tree =
       ir::execute_tree(b.program, linked, b.default_input);
-  const ir::BytecodeProgram* variants[] = {&bytecode, &elided};
-  for (const ir::BytecodeProgram* bc : variants) {
-    const ir::ExecResult vm = ir::vm::run(*bc, b.default_input);
-    if (vm.trace.accesses != tree.trace.accesses || vm.tokens != tree.tokens ||
-        !(vm.path == tree.path) || vm.leaf_steps != tree.leaf_steps ||
-        vm.env.scalars != tree.env.scalars ||
-        vm.env.arrays != tree.env.arrays) {
-      std::fprintf(stderr, "vm/tree mismatch on kernel %s (%s)\n",
-                   kernel.c_str(), bc == &elided ? "elided" : "checked");
-      std::abort();
-    }
+  const ir::ExecResult vm = ir::vm::run(bytecode, b.default_input);
+  if (vm.trace.accesses != tree.trace.accesses || vm.tokens != tree.tokens ||
+      !(vm.path == tree.path) || vm.leaf_steps != tree.leaf_steps ||
+      vm.env.scalars != tree.env.scalars || vm.env.arrays != tree.env.arrays) {
+    std::fprintf(stderr, "vm/tree mismatch on kernel %s\n", kernel.c_str());
+    std::abort();
   }
 
   InterpCase out;
   out.kernel = kernel;
   out.trace_accesses = tree.trace.accesses.size();
   out.leaf_steps = tree.leaf_steps;
-  out.elided_ops = elided_ops;
-  out.elem_ops = facts.elem_ops;
 
   std::uint64_t sink = 0;
   {
@@ -326,21 +305,9 @@ InterpCase time_interp_case(const std::string& kernel, std::size_t execs) {
     }
     out.vm_eps = static_cast<double>(execs) / seconds_since(start);
   }
-  if (out.elided_ops > 0) {
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < execs; ++i) {
-      sink ^= ir::vm::run(elided, b.default_input).leaf_steps;
-    }
-    out.vm_elided_eps = static_cast<double>(execs) / seconds_since(start);
-  } else {
-    // Nothing elided: the bytecode is byte-identical, so timing it again
-    // would only sample the machine's noise floor.
-    out.vm_elided_eps = out.vm_eps;
-  }
   if (sink == 0xdeadbeef) std::fprintf(stderr, "...");  // keep `sink` live
 
   out.speedup = out.vm_eps / out.tree_eps;
-  out.elision_speedup = out.vm_elided_eps / out.vm_eps;
   return out;
 }
 
@@ -350,32 +317,25 @@ int run_interp_report(const std::string& json_path, std::size_t execs) {
   json::Array cases;
   std::printf("interpreter throughput (%s dispatch), %zu execs/case\n",
               ir::vm::dispatch_kind(), execs);
-  std::printf("%-8s %10s %12s %8s %12s %12s %12s %8s %8s\n", "kernel",
-              "accesses", "leaf_steps", "elided", "tree e/s", "vm e/s",
-              "elided e/s", "speedup", "elision");
+  std::printf("%-8s %10s %12s %12s %12s %8s\n", "kernel", "accesses",
+              "leaf_steps", "tree e/s", "vm e/s", "speedup");
   for (const std::string& kernel : kernels) {
     const InterpCase c = time_interp_case(kernel, execs);
-    std::printf("%-8s %10zu %12llu %5zu/%-2zu %12.1f %12.1f %12.1f %7.2fx "
-                "%7.2fx\n",
-                c.kernel.c_str(), c.trace_accesses,
-                static_cast<unsigned long long>(c.leaf_steps), c.elided_ops,
-                c.elem_ops, c.tree_eps, c.vm_eps, c.vm_elided_eps, c.speedup,
-                c.elision_speedup);
+    std::printf("%-8s %10zu %12llu %12.1f %12.1f %7.2fx\n", c.kernel.c_str(),
+                c.trace_accesses,
+                static_cast<unsigned long long>(c.leaf_steps), c.tree_eps,
+                c.vm_eps, c.speedup);
     json::Object o;
     o.emplace_back("kernel", c.kernel);
     o.emplace_back("trace_accesses", c.trace_accesses);
     o.emplace_back("leaf_steps", c.leaf_steps);
-    o.emplace_back("elided_ops", c.elided_ops);
-    o.emplace_back("elem_ops", c.elem_ops);
     o.emplace_back("tree_execs_per_sec", c.tree_eps);
     o.emplace_back("vm_execs_per_sec", c.vm_eps);
-    o.emplace_back("vm_elided_execs_per_sec", c.vm_elided_eps);
     o.emplace_back("speedup", c.speedup);
-    o.emplace_back("elision_speedup", c.elision_speedup);
     cases.emplace_back(std::move(o));
   }
   json::Object doc;
-  doc.emplace_back("schema", "mbcr-bench-interp-v2");
+  doc.emplace_back("schema", "mbcr-bench-interp-v3");
   doc.emplace_back("dispatch", ir::vm::dispatch_kind());
   doc.emplace_back("execs_per_case", execs);
   doc.emplace_back("cases", std::move(cases));
@@ -482,16 +442,13 @@ void BM_ParallelCampaign(benchmark::State& state) {
 BENCHMARK(BM_ParallelCampaign)->Arg(1000)->Arg(10000);
 
 // ---------------------------------------------------------------------------
-// Old-vs-new campaign engine. items/sec == campaign runs/sec.
+// Campaign engine throughput. items/sec == campaign runs/sec.
 //
 // The workload is the convergence driver's access pattern: one logical
 // campaign of `total` runs executed as consecutive `chunk`-run extensions
-// (exactly what mbpta::converge_stream does per delta). The v1 engine
-// spawns and joins std::threads for every chunk and materializes a fresh
-// vector per chunk; the v2 engine reuses the shared persistent pool,
-// streams into one caller-owned buffer and replays trace-major batches.
-// Both produce bit-identical samples (checked at startup below and in
-// tests/platform/engine_equivalence).
+// (exactly what mbpta::converge_stream does per delta), streamed into one
+// caller-owned buffer on the shared persistent pool. The startup guard
+// below checks the engine against a per-seed run_once loop.
 
 constexpr std::size_t kEngineTotalRuns = 10'000;
 constexpr std::size_t kEngineChunk = 512;
@@ -499,44 +456,16 @@ constexpr unsigned kEngineThreads = 8;
 
 // The paper's flagship benchmark (binary search). Its short trace makes
 // campaigns engine-overhead-bound — exactly the regime the persistent
-// pool, the streaming sink, the reusable run workspace and the batched
-// replay target.
+// pool, the streaming sink and the reusable run workspace target.
 const CompactTrace& engine_trace() {
   static const CompactTrace trace = kernel_trace("bs");
   return trace;
 }
 
-void BM_CampaignEngineV1SpawnPerChunk(benchmark::State& state) {
+void BM_CampaignEnginePersistentPool(benchmark::State& state) {
   const auto& trace = engine_trace();
   const platform::Machine machine;
   platform::CampaignConfig cfg;
-  cfg.threads = kEngineThreads;
-  const auto chunk = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    std::vector<double> sample;
-    sample.reserve(kEngineTotalRuns);
-    for (std::size_t done = 0; done < kEngineTotalRuns; done += chunk) {
-      const std::vector<double> piece = platform::run_campaign_spawn(
-          machine, trace, std::min(chunk, kEngineTotalRuns - done), cfg, done);
-      sample.insert(sample.end(), piece.begin(), piece.end());
-    }
-    benchmark::DoNotOptimize(sample.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kEngineTotalRuns));
-}
-BENCHMARK(BM_CampaignEngineV1SpawnPerChunk)
-    ->Arg(kEngineChunk)
-    ->Arg(kEngineTotalRuns)
-    ->UseRealTime();
-
-void BM_CampaignEngineV2PersistentPool(benchmark::State& state) {
-  const auto& trace = engine_trace();
-  const platform::Machine machine;
-  platform::CampaignConfig cfg;
-  // Same concurrency bound as the v1 bench, so the comparison isolates
-  // engine overhead (spawn/join, alloc, copy, batching) from parallelism
-  // width.
   cfg.threads = kEngineThreads;
   const auto chunk = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -551,7 +480,7 @@ void BM_CampaignEngineV2PersistentPool(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kEngineTotalRuns));
 }
-BENCHMARK(BM_CampaignEngineV2PersistentPool)
+BENCHMARK(BM_CampaignEnginePersistentPool)
     ->Arg(kEngineChunk)
     ->Arg(kEngineTotalRuns)
     ->UseRealTime();
@@ -619,18 +548,18 @@ BENCHMARK(BM_TacAnalysis);
 
 #endif  // MBCR_HAVE_GOOGLE_BENCHMARK
 
-/// Startup guard: the campaign engines (v1 spawn, v2 pool with batching)
-/// must agree byte-for-byte, for several thread counts and batch widths.
+/// Startup guard: the campaign engine must reproduce a per-seed run_once
+/// loop byte-for-byte, for several thread counts and batch widths.
 const bool kEnginesAgree = [] {
   const CompactTrace trace = kernel_trace("bs");
   const platform::Machine machine;
   platform::CampaignConfig base;
   const std::vector<double> want =
-      platform::run_campaign(machine, trace, 2048, base);
+      platform::run_campaign_reference(machine, trace, 2048, base.master_seed);
   for (unsigned threads : {1u, 2u, 8u}) {
     platform::CampaignConfig cfg;
     cfg.threads = threads;
-    if (platform::run_campaign_spawn(machine, trace, 2048, cfg) != want) {
+    if (platform::run_campaign(machine, trace, 2048, cfg) != want) {
       std::fprintf(stderr, "engine mismatch at threads=%u\n", threads);
       std::abort();
     }

@@ -288,26 +288,24 @@ GuidedReport run_guided(const GuidedConfig& config) {
 
 json::Value coverage_document(const GuidedConfig& config,
                               const GuidedReport& report) {
-  json::Object doc;
-  doc.emplace_back("schema", "mbcr-fuzz-coverage-v1");
-  doc.emplace_back("guided", report.guided);
-  doc.emplace_back("coverage_measured", report.coverage_measured);
-  doc.emplace_back("rng_seed", std::to_string(config.base.rng_seed));
-  doc.emplace_back("oracle",
-                   config.base.oracle.empty() ? "all" : config.base.oracle);
-  doc.emplace_back("seeds_per_case", config.base.seeds);
-  doc.emplace_back("cases", report.fuzz.cases_run);
-  doc.emplace_back("blind_cases", report.blind_cases);
-  doc.emplace_back("mutated_cases", report.mutated_cases);
-  doc.emplace_back("rejected_cases", report.rejected_cases);
-  doc.emplace_back("failures", report.fuzz.failures.size());
-  doc.emplace_back("features", report.features_discovered);
-  doc.emplace_back(
-      "features_per_case",
-      report.fuzz.cases_run == 0
-          ? 0.0
-          : static_cast<double>(report.features_discovered) /
-                static_cast<double>(report.fuzz.cases_run));
+  json::Object doc{
+      {"schema", "mbcr-fuzz-coverage-v1"},
+      {"guided", report.guided},
+      {"coverage_measured", report.coverage_measured},
+      {"rng_seed", std::to_string(config.base.rng_seed)},
+      {"oracle", config.base.oracle.empty() ? "all" : config.base.oracle},
+      {"seeds_per_case", config.base.seeds},
+      {"cases", report.fuzz.cases_run},
+      {"blind_cases", report.blind_cases},
+      {"mutated_cases", report.mutated_cases},
+      {"rejected_cases", report.rejected_cases},
+      {"failures", report.fuzz.failures.size()},
+      {"features", report.features_discovered},
+      {"features_per_case",
+       report.fuzz.cases_run == 0
+           ? 0.0
+           : static_cast<double>(report.features_discovered) /
+                 static_cast<double>(report.fuzz.cases_run)}};
 
   json::Array corpus;
   for (const GuidedSeed& seed : report.corpus) {

@@ -21,9 +21,8 @@
 //               tree-walking interpreter — trace, env, tokens, path,
 //               leaf_steps and ExecError texts — on both the original and
 //               the pubbed program, for every input
-//   verify      static verifier accepts compiled and elided bytecode;
-//               proof-audited elided execution bit-identical to the
-//               tree-walker
+//   verify      the static verifier (ir/verify) accepts the compiled
+//               original and pubbed programs
 //   evt         EVT/convergence estimator identities on campaign samples:
 //               incremental (sorted-mirror) refit == from-scratch fit,
 //               chunked protocol == streamed, sorted-span fit == unsorted

@@ -108,31 +108,31 @@ json::Value expr_json(const ir::ExprPtr& e) {
   json::Object o;
   switch (e->kind) {
     case ir::Expr::Kind::kConst:
-      o.emplace_back("k", "const");
+      o = {{"k", "const"}};
       o.emplace_back("v", value_json(e->value));
       break;
     case ir::Expr::Kind::kVar:
-      o.emplace_back("k", "var");
+      o = {{"k", "var"}};
       o.emplace_back("name", e->name);
       break;
     case ir::Expr::Kind::kIndex:
-      o.emplace_back("k", "load");
+      o = {{"k", "load"}};
       o.emplace_back("array", e->name);
       o.emplace_back("index", expr_json(e->a));
       break;
     case ir::Expr::Kind::kBin:
-      o.emplace_back("k", "bin");
+      o = {{"k", "bin"}};
       o.emplace_back("op", binop_name(e->bin));
       o.emplace_back("l", expr_json(e->a));
       o.emplace_back("r", expr_json(e->b));
       break;
     case ir::Expr::Kind::kUn:
-      o.emplace_back("k", "un");
+      o = {{"k", "un"}};
       o.emplace_back("op", unop_name(e->un));
       o.emplace_back("x", expr_json(e->a));
       break;
     case ir::Expr::Kind::kSelect:
-      o.emplace_back("k", "select");
+      o = {{"k", "select"}};
       o.emplace_back("c", expr_json(e->a));
       o.emplace_back("t", expr_json(e->b));
       o.emplace_back("e", expr_json(e->c));
@@ -271,8 +271,7 @@ ir::StmtPtr stmt_from(const json::Value& v) {
 // --- program / inputs -----------------------------------------------------
 
 json::Value program_json(const ir::Program& p) {
-  json::Object o;
-  o.emplace_back("name", p.name);
+  json::Object o{{"name", p.name}};
   json::Array arrays;
   for (const ir::ArrayDecl& a : p.arrays) {
     json::Object e;
@@ -312,8 +311,7 @@ ir::Program program_from(const json::Value& v) {
 }
 
 json::Value input_json(const ir::InputVector& in) {
-  json::Object o;
-  o.emplace_back("label", in.label);
+  json::Object o{{"label", in.label}};
   json::Object scalars;
   for (const auto& [name, value] : in.scalars) {
     scalars.emplace_back(name, value_json(value));
@@ -348,12 +346,10 @@ ir::InputVector input_from(const json::Value& v) {
 // --- machine --------------------------------------------------------------
 
 json::Value cache_json(const CacheConfig& c) {
-  json::Object o;
-  o.emplace_back("sets", c.sets);
-  o.emplace_back("ways", c.ways);
-  o.emplace_back("line_bytes", c.line_bytes);
-  o.emplace_back("placement", to_string(c.placement));
-  return json::Value(std::move(o));
+  return json::Object{{"sets", c.sets},
+                      {"ways", c.ways},
+                      {"line_bytes", c.line_bytes},
+                      {"placement", to_string(c.placement)}};
 }
 
 CacheConfig cache_from(const json::Value& v) {
@@ -367,27 +363,18 @@ CacheConfig cache_from(const json::Value& v) {
 }
 
 json::Value machine_json(const platform::MachineConfig& m) {
-  json::Object o;
-  o.emplace_back("il1", cache_json(m.il1));
-  o.emplace_back("dl1", cache_json(m.dl1));
-  {
-    // The L2 geometry is always recorded: even a base config with the
-    // hierarchy off feeds the oracles' flavor grid.
-    json::Object l2;
-    l2.emplace_back("enabled", m.l2.enabled);
-    l2.emplace_back("geometry", cache_json(m.l2.l2));
-    l2.emplace_back("policy", to_string(m.l2.policy));
-    l2.emplace_back("latency", m.l2.latency);
-    o.emplace_back("l2", json::Value(std::move(l2)));
-  }
-  {
-    json::Object t;
-    t.emplace_back("issue_cycles", m.timing.issue_cycles);
-    t.emplace_back("dl1_hit_cycles", m.timing.dl1_hit_cycles);
-    t.emplace_back("mem_latency", m.timing.mem_latency);
-    o.emplace_back("timing", json::Value(std::move(t)));
-  }
-  return json::Value(std::move(o));
+  // The L2 geometry is always recorded: even a base config with the
+  // hierarchy off feeds the oracles' flavor grid.
+  return json::Object{
+      {"il1", cache_json(m.il1)},
+      {"dl1", cache_json(m.dl1)},
+      {"l2", json::Object{{"enabled", m.l2.enabled},
+                          {"geometry", cache_json(m.l2.l2)},
+                          {"policy", to_string(m.l2.policy)},
+                          {"latency", m.l2.latency}}},
+      {"timing", json::Object{{"issue_cycles", m.timing.issue_cycles},
+                              {"dl1_hit_cycles", m.timing.dl1_hit_cycles},
+                              {"mem_latency", m.timing.mem_latency}}}};
 }
 
 platform::MachineConfig machine_from(const json::Value& v) {

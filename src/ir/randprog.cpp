@@ -42,6 +42,13 @@ void RandProgConfig::validate() const {
 
 namespace {
 
+/// "s3", "a0", "i1": a one-letter prefix and a decimal index.
+std::string slot_name(char prefix, std::uint64_t index) {
+  std::string name(1, prefix);
+  name.append(std::to_string(index));
+  return name;
+}
+
 class Generator {
 public:
   Generator(Xoshiro256& rng, const RandProgConfig& cfg)
@@ -51,16 +58,16 @@ public:
     Program p;
     p.name = "randprog";
     for (int i = 0; i < cfg_.n_arrays; ++i) {
-      p.arrays.push_back({"a" + std::to_string(i), cfg_.array_size, {}});
+      p.arrays.push_back({slot_name('a', i), cfg_.array_size, {}});
     }
     for (int i = 0; i < cfg_.n_scalars; ++i) {
-      p.scalars.push_back("s" + std::to_string(i));
+      p.scalars.push_back(slot_name('s', i));
     }
     // A couple of dedicated loop counters keep loop variables from
     // clobbering the data-dependent scalars.
     for (int i = 0; i < cfg_.max_depth; ++i) {
-      p.scalars.push_back("i" + std::to_string(i));
-      loop_vars_.push_back("i" + std::to_string(i));
+      p.scalars.push_back(slot_name('i', i));
+      loop_vars_.push_back(slot_name('i', i));
     }
     p.body = block(cfg_.max_depth);
     validate(p);
@@ -69,13 +76,13 @@ public:
 
 private:
   std::string rand_scalar() {
-    return "s" + std::to_string(rng_.uniform(static_cast<std::uint32_t>(
-                     cfg_.n_scalars)));
+    return slot_name(
+        's', rng_.uniform(static_cast<std::uint32_t>(cfg_.n_scalars)));
   }
 
   std::string rand_array() {
-    return "a" + std::to_string(
-                     rng_.uniform(static_cast<std::uint32_t>(cfg_.n_arrays)));
+    return slot_name(
+        'a', rng_.uniform(static_cast<std::uint32_t>(cfg_.n_arrays)));
   }
 
   /// Index expression guaranteed in-bounds: (e & (size-1)).
@@ -204,8 +211,7 @@ InputVector random_input(const Program& program, Xoshiro256& rng,
   InputVector in;
   in.label = "rand";
   for (int i = 0; i < config.n_inputs && i < config.n_scalars; ++i) {
-    in.scalars["s" + std::to_string(i)] =
-        static_cast<Value>(rng.uniform(32));
+    in.scalars[slot_name('s', i)] = static_cast<Value>(rng.uniform(32));
   }
   for (const auto& a : program.arrays) {
     std::vector<Value> contents(a.size);

@@ -97,7 +97,8 @@ void progress_tick_impl(const char* phase, std::uint64_t done,
   std::string line = std::string("[mbcr] ") + phase + ": ";
   line += std::to_string(done);
   if (total != 0) {
-    line += "/" + std::to_string(total);
+    line += '/';
+    line += std::to_string(total);
   }
   line += std::string(" ") + unit;
   if (total != 0) {

@@ -107,9 +107,10 @@ json::Value trace_json() {
     events.emplace_back(std::move(e));
   }
 
-  json::Object doc;
-  doc.emplace_back("traceEvents", json::Value(std::move(events)));
-  doc.emplace_back("displayTimeUnit", "ms");
+  // The event array is moved in afterwards: an initializer list would copy
+  // every event.
+  json::Object doc{{"traceEvents", nullptr}, {"displayTimeUnit", "ms"}};
+  doc.front().second = std::move(events);
   if (buf.dropped > 0) {
     doc.emplace_back("mbcrDroppedEvents",
                      static_cast<double>(buf.dropped));

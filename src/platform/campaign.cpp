@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
@@ -137,46 +136,6 @@ std::vector<double> run_campaign(const Machine& machine,
   return times;
 }
 
-std::vector<double> run_campaign_spawn(const Machine& machine,
-                                       const CompactTrace& trace,
-                                       std::size_t runs,
-                                       const CampaignConfig& config,
-                                       std::size_t first_run) {
-  std::vector<double> times(runs);
-  if (runs == 0) return times;
-
-  unsigned threads = config.threads;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = static_cast<unsigned>(
-      std::min<std::size_t>(threads, std::max<std::size_t>(1, runs / 64)));
-
-  auto worker = [&](std::size_t begin, std::size_t end) {
-    RunWorkspace ws;  // one per spawned thread, reused across its runs
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::uint64_t seed = mix64(first_run + i, config.master_seed);
-      times[i] = static_cast<double>(machine.run_once(trace, seed, ws));
-    }
-  };
-
-  if (threads <= 1) {
-    worker(0, runs);
-    return times;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  const std::size_t chunk = (runs + threads - 1) / threads;
-  for (unsigned t = 0; t < threads; ++t) {
-    const std::size_t begin = static_cast<std::size_t>(t) * chunk;
-    const std::size_t end = std::min(runs, begin + chunk);
-    if (begin >= end) break;
-    pool.emplace_back(worker, begin, end);
-  }
-  for (auto& th : pool) th.join();
-  return times;
-}
-
 CampaignSampler::CampaignSampler(const Machine& machine,
                                  const CompactTrace& trace,
                                  const CampaignConfig& config)
@@ -197,12 +156,6 @@ void CampaignSampler::append_to(std::vector<double>& sample,
     throw;
   }
   next_run_ += count;
-}
-
-std::vector<double> CampaignSampler::operator()(std::size_t count) {
-  std::vector<double> chunk;
-  append_to(chunk, count);
-  return chunk;
 }
 
 }  // namespace mbcr::platform

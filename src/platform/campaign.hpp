@@ -7,11 +7,12 @@
 // what lets the convergence driver extend a campaign incrementally and
 // lets every bench be reproduced exactly.
 //
-// Engine v2: campaigns execute on the process-wide persistent ThreadPool
+// Campaigns execute on the process-wide persistent ThreadPool
 // (util/pool.hpp) and write directly into caller-owned memory
 // (`run_campaign_into`), so a convergence iteration costs zero thread
-// spawns and zero sample copies. The v1 spawn-per-call engine is kept as
-// `run_campaign_spawn` — the equivalence baseline for tests and benches.
+// spawns and zero sample copies. The reference every engine configuration
+// must reproduce is `run_campaign_reference`, a plain per-seed
+// `Machine::run_once` loop.
 #pragma once
 
 #include <cstdint>
@@ -19,18 +20,18 @@
 
 #include "platform/machine.hpp"
 #include "util/pool.hpp"
+#include "util/rng.hpp"
 
 namespace mbcr::platform {
 
 struct CampaignConfig {
   std::uint64_t master_seed = 42;
-  /// Concurrency bound. v1 engine: threads spawned (0 = hardware
-  /// concurrency). v2 engine: cap on concurrent chunk claimants including
-  /// the caller (0 = the whole pool), so `threads = 1` keeps a campaign
-  /// on the calling thread — e.g. to leave cores free on a shared host.
+  /// Concurrency bound: cap on concurrent chunk claimants including the
+  /// caller (0 = the whole pool), so `threads = 1` keeps a campaign on the
+  /// calling thread — e.g. to leave cores free on a shared host.
   unsigned threads = 0;
-  /// Runs per pool chunk (v2 engine). Small enough to load-balance across
-  /// workers, large enough that a chunk claim (a few atomics) is noise.
+  /// Runs per pool chunk. Small enough to load-balance across workers,
+  /// large enough that a chunk claim (a few atomics) is noise.
   std::size_t grain = 64;
   /// Runs replayed per `Machine::run_batch` call inside a claimed chunk
   /// (trace-major batching). Any width produces the identical sample —
@@ -38,13 +39,15 @@ struct CampaignConfig {
   /// throughput knob. `<= 1` disables batching (per-run `run_once`).
   /// A batch never crosses a chunk claim, so the effective width is also
   /// capped by `grain` — raise both to batch wider than one chunk.
-  /// 32 measured best on the medium/large suite kernels
-  /// (bench/micro_throughput --json, committed BENCH_replay.json: 1.87x
-  /// on crc L1-only; L2 flavors and matmult 1.2-1.5x run to run); tiny
-  /// traces are batch-setup-bound and replay FASTER per run, so the
-  /// engine falls back to per-run replay below `kBatchMinTraceEntries`
-  /// entries. Larger widths stop paying once the batch state outgrows
-  /// L1d.
+  ///
+  /// End to end (perfbench, 4-core x86-64, GCC 12 Release, wall s per
+  /// operation, alternating runs): 32 vs 1 makes the two-level
+  /// `sweep_measure_l2` faster (6.8-7.4 s vs 8.6-9.1 s) and leaves the
+  /// single-level `study_crc_tac` unresolved (17.0-18.4 s vs 17.0-17.9 s).
+  /// Tiny traces are batch-setup-bound: `multipath_bs` took 6.20 s with
+  /// per-run replay vs 8.18 s with width-1 `run_batch`, so the engine
+  /// replays per run below `kBatchMinTraceEntries` entries. Larger widths
+  /// stop paying once the batch state outgrows L1d.
   std::size_t batch = 32;
 };
 
@@ -54,7 +57,7 @@ struct CampaignConfig {
 /// full adaptive width selection is a ROADMAP item.)
 inline constexpr std::size_t kBatchMinTraceEntries = 1024;
 
-/// Campaign engine v2 (streaming sink): executes runs
+/// Streaming sink: executes runs
 /// [first_run, first_run + runs) on `pool` and writes each run's execution
 /// time to out[i - first_run]. `out` must hold `runs` doubles. The caller
 /// owns the buffer — no allocation, no copy. `pool = nullptr` uses the
@@ -71,18 +74,25 @@ std::vector<double> run_campaign(const Machine& machine,
                                  const CampaignConfig& config = {},
                                  std::size_t first_run = 0);
 
-/// Campaign engine v1: spawns `config.threads` fresh std::threads per call
-/// and joins them before returning. Produces bit-identical samples to the
-/// v2 engine (the determinism contract above); kept as the reference
-/// baseline for engine-equivalence tests and the old-vs-new bench.
-std::vector<double> run_campaign_spawn(const Machine& machine,
-                                       const CompactTrace& trace,
-                                       std::size_t runs,
-                                       const CampaignConfig& config = {},
-                                       std::size_t first_run = 0);
+/// The reference sample: runs [first_run, first_run + runs) as a plain
+/// serial loop of `Machine::run_once(trace, mix64(i, master_seed))`. Every
+/// engine configuration (thread count, pool, grain, batch width) must
+/// reproduce it byte for byte; tests and bench guards compare against it.
+inline std::vector<double> run_campaign_reference(const Machine& machine,
+                                                  const CompactTrace& trace,
+                                                  std::size_t runs,
+                                                  std::uint64_t master_seed,
+                                                  std::size_t first_run = 0) {
+  std::vector<double> times(runs);
+  for (std::size_t i = 0; i < runs; ++i) {
+    times[i] = static_cast<double>(
+        machine.run_once(trace, mix64(first_run + i, master_seed)));
+  }
+  return times;
+}
 
 /// Stateful incremental sampler over the same deterministic run sequence;
-/// adapts a campaign to mbpta::converge().
+/// adapts a campaign to mbpta::converge_stream().
 class CampaignSampler {
 public:
   CampaignSampler(const Machine& machine, const CompactTrace& trace,
@@ -92,9 +102,6 @@ public:
   /// onto `sample` (runs are numbered consecutively across calls). One
   /// buffer growth, no intermediate chunk vector.
   void append_to(std::vector<double>& sample, std::size_t count);
-
-  /// Produces the next `count` execution times (legacy chunk protocol).
-  std::vector<double> operator()(std::size_t count);
 
   std::size_t runs_done() const { return next_run_; }
 

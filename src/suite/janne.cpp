@@ -63,7 +63,10 @@ SuiteBenchmark make_janne() {
 
   auto make_input = [](Value a, Value b_val) {
     InputVector in;
-    in.label = "a" + std::to_string(a) + "_b" + std::to_string(b_val);
+    in.label = std::string("a")
+                   .append(std::to_string(a))
+                   .append("_b")
+                   .append(std::to_string(b_val));
     in.arrays["io"] = {a, b_val};
     return in;
   };

@@ -24,6 +24,9 @@ namespace mbcr::json {
 class Value;
 using Array = std::vector<Value>;
 using Member = std::pair<std::string, Value>;
+/// Where GCC 12 at -O3 reports a false -Warray-bounds on the second
+/// emplace_back into an empty Object, seed the Object from an initializer
+/// list (`Object o{{"k", v}}`) and emplace_back after that.
 using Object = std::vector<Member>;
 
 class Value {

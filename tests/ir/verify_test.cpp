@@ -4,10 +4,9 @@
 // operand indices, stack underflow, a lying max_stack, unbalanced ghost
 // frames, broken heap tiling — must be refused with a diagnostic that
 // names the op and the reason. Acceptance: every suite kernel (original
-// and pubbed) and 500 randprog seeds verify clean, before and after
-// elision. Feedback: elided (unchecked) execution stays bit-identical to
-// checked execution and to the tree-walker, and the validating VM traps a
-// deliberately-narrowed proof at the exact access that escapes it.
+// and pubbed) and 500 randprog seeds verify clean. Fail closed: a rejected
+// program raises VerifyError carrying every diagnostic through the same
+// call the default executor's compile pipeline throws from.
 #include "ir/verify.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include "ir/interp.hpp"
 #include "ir/lower.hpp"
 #include "ir/randprog.hpp"
-#include "ir/vm.hpp"
 #include "pub/pub_transform.hpp"
 #include "suite/malardalen.hpp"
 #include "util/rng.hpp"
@@ -70,8 +68,6 @@ TEST(VerifyStructural, AcceptsTheHealthyProgram) {
   const VerifyResult result = verify(compile_sum());
   EXPECT_TRUE(result.ok()) << result.describe();
   EXPECT_TRUE(result.dead_ops.empty());
-  EXPECT_EQ(result.elem_ops, 1u);
-  EXPECT_EQ(result.provable.size(), 1u);
 }
 
 TEST(VerifyStructural, RejectsTheEmptyOpStream) {
@@ -154,6 +150,27 @@ TEST(VerifyDataflow, RejectsUnbalancedGhostFrames) {
   }
 }
 
+TEST(VerifyDataflow, RejectsDepthMismatchesAtAMerge) {
+  // push; branch over op 2; op 2 changes a depth; both edges meet at the
+  // halt. The branch's own edge reaches the halt first.
+  const auto diamond = [](OpCode middle) {
+    BytecodeProgram bc;
+    bc.name = "diamond";
+    bc.consts = {0};
+    bc.branch_ids = {1};
+    bc.max_stack = 1;
+    bc.ops = {{OpCode::kPushConst, 0, 0},
+              {OpCode::kBranch, 3, 0},
+              {middle, 0, 0},
+              {OpCode::kHalt, 0, 0}};
+    return bc;
+  };
+  expect_rejected(diamond(OpCode::kPushConst),
+                  "op 3: operand stack depth mismatch at merge: 0 vs 1");
+  expect_rejected(diamond(OpCode::kGhostEnter),
+                  "op 3: ghost nesting depth mismatch at merge: 0 vs 1");
+}
+
 TEST(VerifyDataflow, FlagsStaticallyDeadOpsWithoutRejecting) {
   BytecodeProgram bc = compile_sum();
   // Jump over a freshly-inserted op: unreachable, flagged, not fatal.
@@ -184,7 +201,7 @@ TEST(VerifyDataflow, FlagsStaticallyDeadOpsWithoutRejecting) {
 
 // --- acceptance: the suite and the generator ------------------------------
 
-TEST(VerifyAcceptance, EverySuiteKernelVerifiesCleanCheckedAndElided) {
+TEST(VerifyAcceptance, EverySuiteKernelVerifiesClean) {
   for (const suite::SuiteEntry& entry : suite::all()) {
     const suite::SuiteBenchmark bench = entry.make();
     for (const bool pub : {false, true}) {
@@ -192,15 +209,10 @@ TEST(VerifyAcceptance, EverySuiteKernelVerifiesCleanCheckedAndElided) {
           pub ? pub::apply_pub(bench.program) : bench.program;
       const std::string where =
           std::string(entry.name) + (pub ? " pubbed" : " original");
-      BytecodeProgram bc = compile(program, lower(program));
+      const BytecodeProgram bc = compile(program, lower(program));
       const VerifyResult facts = verify(bc);
       EXPECT_TRUE(facts.ok()) << where << ":\n" << facts.describe();
       EXPECT_EQ(facts.computed_max_stack, bc.max_stack) << where;
-
-      apply_elision(bc, facts);
-      const VerifyResult audit = verify(bc);
-      EXPECT_TRUE(audit.ok())
-          << where << " after elision:\n" << audit.describe();
     }
   }
 }
@@ -208,156 +220,78 @@ TEST(VerifyAcceptance, EverySuiteKernelVerifiesCleanCheckedAndElided) {
 TEST(VerifyAcceptance, FiveHundredRandprogSeedsVerifyClean) {
   RandProgConfig cfg;
   cfg.scalar_alias_prob = 0.25;  // counters double as data registers
-  std::size_t proven = 0;
   for (std::uint64_t seed = 0; seed < 500; ++seed) {
     Xoshiro256 rng(mix64(0x5eed, seed));
     const Program program = random_program(rng, cfg);
     const Program pubbed = pub::apply_pub(program);
     for (const Program* p : {&program, &pubbed}) {
-      BytecodeProgram bc = compile(*p, lower(*p));
+      const BytecodeProgram bc = compile(*p, lower(*p));
       const VerifyResult facts = verify(bc);
       ASSERT_TRUE(facts.ok())
           << "seed " << seed << (p == &pubbed ? " pubbed" : " original")
           << ":\n"
           << facts.describe();
-      proven += facts.provable.size();
-      apply_elision(bc, facts);
-      const VerifyResult audit = verify(bc);
-      ASSERT_TRUE(audit.ok())
-          << "seed " << seed << (p == &pubbed ? " pubbed" : " original")
-          << " after elision:\n"
-          << audit.describe();
-    }
-  }
-  // randprog masks every element index, so the interval analysis must be
-  // proving accesses in bulk — elision over the generator is not vacuous.
-  EXPECT_GT(proven, 500u);
-}
-
-// --- feedback: elision is a no-op on observable behaviour ------------------
-
-/// One engine's observation: result or ExecError text.
-struct Observed {
-  bool threw = false;
-  std::string error;
-  ExecResult result;
-};
-
-template <typename Fn>
-Observed observe(Fn&& fn) {
-  Observed o;
-  try {
-    o.result = fn();
-  } catch (const ExecError& e) {
-    o.threw = true;
-    o.error = e.what();
-  }
-  return o;
-}
-
-void expect_same(const Observed& a, const Observed& b,
-                 const std::string& where) {
-  ASSERT_EQ(a.threw, b.threw)
-      << where << ": engines disagree on whether the run throws (\""
-      << a.error << "\" vs \"" << b.error << "\")";
-  if (a.threw) {
-    EXPECT_EQ(a.error, b.error) << where;
-    return;
-  }
-  EXPECT_EQ(a.result.trace.accesses, b.result.trace.accesses) << where;
-  EXPECT_EQ(a.result.tokens, b.result.tokens) << where;
-  EXPECT_EQ(a.result.path, b.result.path) << where;
-  EXPECT_EQ(a.result.leaf_steps, b.result.leaf_steps) << where;
-  EXPECT_EQ(a.result.env.scalars, b.result.env.scalars) << where;
-  EXPECT_EQ(a.result.env.arrays, b.result.env.arrays) << where;
-}
-
-/// Checked VM, elided VM, elided validating VM and the tree-walker must
-/// all observe the same run.
-void expect_elision_is_identity(const Program& program,
-                                const InputVector& input,
-                                const std::string& where) {
-  const Linked linked = lower(program);
-  const BytecodeProgram checked = compile(program, linked);
-  BytecodeProgram elided = checked;
-  const VerifyResult facts = verify(elided);
-  ASSERT_TRUE(facts.ok()) << where << ":\n" << facts.describe();
-  apply_elision(elided, facts);
-
-  const Observed tree =
-      observe([&] { return execute_tree(program, linked, input, {}); });
-  expect_same(tree, observe([&] { return vm::run(checked, input, {}); }),
-              where + " [checked vm]");
-  expect_same(tree, observe([&] { return vm::run(elided, input, {}); }),
-              where + " [elided vm]");
-  expect_same(tree,
-              observe([&] { return vm::run_validating(elided, input, {}); }),
-              where + " [validating vm]");
-}
-
-TEST(VerifyElision, SuiteKernelsRunBitIdenticalAfterElision) {
-  for (const suite::SuiteEntry& entry : suite::all()) {
-    const suite::SuiteBenchmark bench = entry.make();
-    const Program pubbed = pub::apply_pub(bench.program);
-    std::vector<InputVector> inputs = bench.path_inputs;
-    inputs.push_back(bench.default_input);
-    for (const InputVector& in : inputs) {
-      expect_elision_is_identity(bench.program, in,
-                                 bench.name + " [" + in.label +
-                                     "] original");
-      expect_elision_is_identity(pubbed, in,
-                                 bench.name + " [" + in.label + "] pubbed");
+      EXPECT_EQ(facts.computed_max_stack, bc.max_stack) << "seed " << seed;
     }
   }
 }
 
-TEST(VerifyElision, RandprogSeedsRunBitIdenticalAfterElision) {
-  RandProgConfig cfg;
-  cfg.scalar_alias_prob = 0.25;
-  for (std::uint64_t seed = 0; seed < 100; ++seed) {
-    Xoshiro256 rng(mix64(0xe11de, seed));
-    const Program program = random_program(rng, cfg);
-    const InputVector in = random_input(program, rng, cfg);
-    expect_elision_is_identity(program, in,
-                               "seed " + std::to_string(seed));
-  }
-}
+// --- fail closed: the throw path of the compile pipeline -------------------
 
-TEST(VerifyElision, ValidatingVmTrapsADeliberatelyNarrowedProof) {
-  // Narrow the sum kernel's single proof to [0, 0]: re-verification must
-  // reject the claim statically, and the validating VM must trap at the
-  // first access outside it (index 1) while the plain VM — which trusts
-  // proofs by design — still runs.
-  const Program p = sum_program();
-  BytecodeProgram bc = compile(p, lower(p));
-  const VerifyResult facts = verify(bc);
-  ASSERT_EQ(facts.provable.size(), 1u);
-  ASSERT_EQ(apply_elision(bc, facts), 1u);
-  ASSERT_EQ(bc.proofs.size(), 1u);
-  bc.proofs[0].hi = 0;
-
-  expect_rejected(bc, "escapes the recorded elision proof [0, 0]");
-  EXPECT_NO_THROW(vm::run(bc, {}));
+TEST(VerifyFailClosed, RejectedBytecodeThrowsVerifyErrorWithEveryDiagnostic) {
+  // Two independent structural corruptions: the thrown error must list
+  // both, each anchored at its op, under the program's name.
+  BytecodeProgram bc = compile_sum();
+  const std::uint32_t push = first_op(bc, OpCode::kPushConst);
+  const std::uint32_t store = first_op(bc, OpCode::kStoreScalar);
+  bc.ops[push].a = 999;
+  bc.ops[store].a = 7;
+  const std::string diagnostics = verify(bc).describe();
   try {
-    vm::run_validating(bc, {});
-    FAIL() << "expected the proof audit to trap";
-  } catch (const ExecError& e) {
+    verify_or_throw(bc);
+    FAIL() << "expected VerifyError";
+  } catch (const VerifyError& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("verify: index 1 escapes the proven range [0, 0]"),
+    EXPECT_EQ(what,
+              "sum: verifier rejected compiled bytecode:\n" + diagnostics);
+    EXPECT_NE(what.find("op " + std::to_string(push) +
+                        ": constant index 999 out of range"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("op " + std::to_string(store) +
+                        ": scalar slot index 7 out of range [0, 2)"),
               std::string::npos)
         << what;
   }
 }
 
-TEST(VerifyElision, CompileVerifiedThrowsVerifyErrorOnRejectedBytecode) {
-  // compile_verified on a healthy program succeeds and elides...
+TEST(VerifyFailClosed, ALyingMaxStackIsCaughtAsAnExecError) {
+  // The dataflow verdict takes the same path, and existing fail-closed
+  // catch sites that only know ExecError still stop it.
+  BytecodeProgram bc = compile_sum();
+  const std::uint32_t honest = bc.max_stack;
+  bc.max_stack = honest + 1;
+  try {
+    verify_or_throw(bc);
+    FAIL() << "expected VerifyError";
+  } catch (const ExecError& e) {
+    EXPECT_NE(dynamic_cast<const VerifyError*>(&e), nullptr);
+    EXPECT_NE(std::string(e.what()).find(
+                  "declared max_stack " + std::to_string(honest + 1) +
+                  " != computed high-water " + std::to_string(honest)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(VerifyFailClosed, CompileVerifiedReturnsTheCompiledBytecode) {
+  // Verification never rewrites a program: every element access keeps its
+  // runtime bounds check.
   const Program p = sum_program();
-  const BytecodeProgram bc = compile_verified(p, lower(p));
-  EXPECT_EQ(bc.count_ops(OpCode::kLoadElemU), 1u);
-  EXPECT_EQ(bc.count_ops(OpCode::kLoadElem), 0u);
-  // ...and the error type exists for callers that gate on it (the actual
-  // throw path needs a miscompile, pinned by the MBCR_VERIFY_FAULT build).
-  static_assert(std::is_base_of_v<ExecError, VerifyError>);
+  const Linked linked = lower(p);
+  const BytecodeProgram bc = compile_verified(p, linked);
+  EXPECT_EQ(bc.disassemble(), compile(p, linked).disassemble());
+  EXPECT_EQ(bc.count_ops(OpCode::kLoadElem), 1u);
 }
 
 }  // namespace

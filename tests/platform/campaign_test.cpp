@@ -16,18 +16,18 @@ CompactTrace test_trace() {
 }
 
 TEST(Campaign, ThreadCountDoesNotChangeResults) {
-  // Thread variation must be exercised through the spawn engine AND
-  // through dedicated pools of different sizes actually claiming chunks
-  // (threads = 0 = uncapped), plus the threads-capped serial path.
+  // The reference is a plain per-seed run_once loop. Thread variation is
+  // exercised through the capped shared pool and through dedicated pools
+  // of different sizes actually claiming chunks (threads = 0 = uncapped).
   const CompactTrace trace = test_trace();
   const Machine machine;
   CampaignConfig seq_cfg;
   seq_cfg.threads = 1;
   CampaignConfig par_cfg;
   par_cfg.threads = 8;
-  const auto a = run_campaign_spawn(machine, trace, 2000, seq_cfg);
-  const auto b = run_campaign_spawn(machine, trace, 2000, par_cfg);
-  EXPECT_EQ(a, b);
+  const std::vector<double> a =
+      run_campaign_reference(machine, trace, 2000, seq_cfg.master_seed);
+  EXPECT_EQ(a, run_campaign(machine, trace, 2000, par_cfg));
   CampaignConfig uncapped;  // threads = 0: every pool worker may claim
   uncapped.grain = 32;      // many chunks so workers really interleave
   for (unsigned workers : {1u, 8u}) {
@@ -36,7 +36,7 @@ TEST(Campaign, ThreadCountDoesNotChangeResults) {
     run_campaign_into(machine, trace, 2000, pooled.data(), uncapped, 0, &pool);
     EXPECT_EQ(a, pooled) << "pool workers " << workers;
   }
-  // threads = 1 caps the v2 engine to the calling thread; same sample.
+  // threads = 1 caps the engine to the calling thread; same sample.
   std::vector<double> capped(2000);
   run_campaign_into(machine, trace, 2000, capped.data(), seq_cfg, 0);
   EXPECT_EQ(a, capped);
@@ -78,7 +78,8 @@ TEST(CampaignSampler, ChunksMatchOneShotCampaign) {
   CampaignSampler sampler(machine, trace, cfg);
   std::vector<double> collected;
   for (std::size_t chunk : {100, 250, 50}) {
-    const auto c = sampler(chunk);
+    std::vector<double> c;
+    sampler.append_to(c, chunk);
     collected.insert(collected.end(), c.begin(), c.end());
   }
   EXPECT_EQ(sampler.runs_done(), 400u);

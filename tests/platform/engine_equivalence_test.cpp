@@ -1,8 +1,8 @@
-// Engine-equivalence suite: the whole campaign-engine v2 rework is safe
-// because every execution path must produce bit-identical samples for a
-// fixed master seed — fast replay vs reference cache model, v2 pool engine
-// vs v1 spawn engine, any thread count, workspace reuse, streamed vs
-// one-shot. These tests pin that contract.
+// Engine-equivalence suite: every execution path must produce
+// bit-identical samples for a fixed master seed — fast replay vs reference
+// cache model, the pool engine vs a per-seed run_once loop, any thread
+// count, workspace reuse, streamed vs one-shot. These tests pin that
+// contract.
 #include <gtest/gtest.h>
 
 #include "ir/interp.hpp"
@@ -10,6 +10,7 @@
 #include "platform/machine.hpp"
 #include "suite/malardalen.hpp"
 #include "util/pool.hpp"
+#include "util/rng.hpp"
 
 namespace mbcr::platform {
 namespace {
@@ -315,14 +316,17 @@ TEST(EngineEquivalence, PoolEngineInvariantUnderThreadCount) {
   }
 }
 
-TEST(EngineEquivalence, PoolEngineMatchesSpawnEngine) {
+TEST(EngineEquivalence, PoolEngineMatchesPerSeedRunOnce) {
+  // Run i of a campaign is run_once with seed mix64(i, master_seed),
+  // whatever the concurrency bound.
   const TestWorkload w = test_workload();
   const Machine machine;
+  CampaignConfig cfg;
+  const std::vector<double> want =
+      run_campaign_reference(machine, w.trace, 2000, cfg.master_seed);
   for (unsigned threads : {1u, 2u, 8u}) {
-    CampaignConfig cfg;
     cfg.threads = threads;
-    EXPECT_EQ(run_campaign(machine, w.trace, 2000, cfg),
-              run_campaign_spawn(machine, w.trace, 2000, cfg))
+    EXPECT_EQ(run_campaign(machine, w.trace, 2000, cfg), want)
         << "threads " << threads;
   }
 }

@@ -96,16 +96,18 @@ TEST_P(GeometryProperty, CampaignDeterminismEverywhere) {
   mcfg.il1 = config();
   mcfg.dl1 = config();
   const platform::Machine machine(mcfg);
-  // Scheduling invariance across engines and worker counts: the v1 spawn
-  // engine at 1 and 16 threads and the v2 pool engine on dedicated 1- and
-  // 16-worker pools must all produce the same sample.
+  // The pool engine capped at 1 and 16 threads and on dedicated 1- and
+  // 16-worker pools must all reproduce the per-seed run_once reference.
+  // fir's trace is long enough to be batched, so this also pins run_batch
+  // to run_once on every geometry.
   platform::CampaignConfig one;
   one.threads = 1;
   platform::CampaignConfig many;
   many.threads = 16;
   const std::vector<double> want =
-      platform::run_campaign_spawn(machine, trace, 500, one);
-  EXPECT_EQ(want, platform::run_campaign_spawn(machine, trace, 500, many));
+      platform::run_campaign_reference(machine, trace, 500, one.master_seed);
+  EXPECT_EQ(want, platform::run_campaign(machine, trace, 500, one));
+  EXPECT_EQ(want, platform::run_campaign(machine, trace, 500, many));
   platform::CampaignConfig uncapped;  // threads = 0: workers really claim
   uncapped.grain = 16;
   for (unsigned workers : {1u, 16u}) {
