@@ -88,6 +88,7 @@ struct ReplayCase {
   std::string kernel;
   std::string flavor;
   std::size_t trace_accesses = 0;
+  std::size_t replay_entries = 0;  ///< folded replay view actually walked
   double run_once_rps = 0;
   double run_batch_rps = 0;
   double speedup = 0;
@@ -130,6 +131,7 @@ ReplayCase time_replay_case(const std::string& kernel,
   out.kernel = kernel;
   out.flavor = flavor.name;
   out.trace_accesses = trace.size();
+  out.replay_entries = trace.replay.size();
 
   // run_once, workspace overload: the per-run engine hot path.
   std::uint64_t sink = 0;
@@ -169,20 +171,23 @@ int run_replay_report(const std::string& json_path, std::size_t runs,
                       std::size_t batch) {
   const std::vector<std::string> kernels = {"bs", "crc", "matmult"};
   json::Array cases;
-  std::printf("%-8s %-10s %10s %14s %14s %8s\n", "kernel", "flavor",
-              "accesses", "run_once r/s", "run_batch r/s", "speedup");
+  std::printf("%-8s %-10s %10s %8s %14s %14s %8s\n", "kernel", "flavor",
+              "accesses", "replayed", "run_once r/s", "run_batch r/s",
+              "speedup");
   for (const std::string& kernel : kernels) {
     const CompactTrace trace = kernel_trace(kernel);
     for (const ReplayFlavor& flavor : replay_flavors()) {
       const ReplayCase c = time_replay_case(kernel, flavor, trace, runs,
                                             batch);
-      std::printf("%-8s %-10s %10zu %14.0f %14.0f %7.2fx\n",
+      std::printf("%-8s %-10s %10zu %8zu %14.0f %14.0f %7.2fx\n",
                   c.kernel.c_str(), c.flavor.c_str(), c.trace_accesses,
-                  c.run_once_rps, c.run_batch_rps, c.speedup);
+                  c.replay_entries, c.run_once_rps, c.run_batch_rps,
+                  c.speedup);
       json::Object o;
       o.emplace_back("kernel", c.kernel);
       o.emplace_back("flavor", c.flavor);
       o.emplace_back("trace_accesses", c.trace_accesses);
+      o.emplace_back("replay_entries", c.replay_entries);
       o.emplace_back("run_once_runs_per_sec", c.run_once_rps);
       o.emplace_back("run_batch_runs_per_sec", c.run_batch_rps);
       o.emplace_back("speedup", c.speedup);
@@ -193,15 +198,15 @@ int run_replay_report(const std::string& json_path, std::size_t runs,
   // metrics collection off vs on (same seeds, same workspace). The CI perf
   // gate pins on_over_off >= 0.98 (< 2% collection overhead), so the
   // measurement must be steadier than the gate: timing windows are floored
-  // at 10k runs (~160ms each) regardless of --replay-runs, and each mode
-  // takes the best of five interleaved repetitions to shave scheduler
-  // noise on shared CI runners.
+  // at 30k runs (~160ms each on the folded crc trace) regardless of
+  // --replay-runs, and each mode takes the best of five interleaved
+  // repetitions to shave scheduler noise on shared CI runners.
   json::Object obs_overhead;
   {
     const CompactTrace trace = kernel_trace("crc");
     const platform::Machine machine;
     platform::RunWorkspace ws;
-    const std::size_t window = std::max<std::size_t>(runs, 10'000);
+    const std::size_t window = std::max<std::size_t>(runs, 30'000);
     std::uint64_t sink = 0;
     const auto time_runs = [&](bool on) {
       obs::set_enabled(on);
@@ -234,7 +239,7 @@ int run_replay_report(const std::string& json_path, std::size_t runs,
   }
 
   json::Object doc;
-  doc.emplace_back("schema", "mbcr-bench-replay-v2");
+  doc.emplace_back("schema", "mbcr-bench-replay-v3");
   doc.emplace_back("batch_width", batch);
   doc.emplace_back("runs_per_case", runs);
   doc.emplace_back("cases", std::move(cases));

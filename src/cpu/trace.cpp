@@ -47,6 +47,16 @@ CompactTrace CompactTrace::from(const MemTrace& trace, Addr line_bytes) {
       out.entries.push_back({it->second, 0});
     }
   }
+  constexpr std::uint32_t kNone = 0xffffffffu;
+  std::uint32_t last[2] = {kNone, kNone};  // last line per side (DL1, IL1)
+  for (const Entry& e : out.entries) {
+    if (e.line_id == last[e.is_instr]) {
+      ++(e.is_instr ? out.folded_ifetch : out.folded_data);
+    } else {
+      last[e.is_instr] = e.line_id;
+      out.replay.push_back(e);
+    }
+  }
   std::unordered_map<Addr, std::uint32_t> umap;
   const auto unify = [&](const std::vector<Addr>& lines,
                          std::vector<std::uint32_t>& uid) {

@@ -4,7 +4,8 @@
 // (program, input). Measurement campaigns then replay the trace hundreds of
 // thousands of times under fresh random placements; `CompactTrace`
 // pre-resolves every access to a dense per-cache line id so replay is a
-// table lookup instead of a hash per access.
+// table lookup instead of a hash per access, and folds out the accesses
+// that hit for every seed so replay only walks the ones that can differ.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,19 @@ struct CompactTrace {
     std::uint8_t is_instr;  // 1 = IL1, 0 = DL1
   };
 
-  std::vector<Entry> entries;
+  std::vector<Entry> entries;  ///< every access, in trace order
+
+  /// Folded replay view of `entries`: the entries whose previous same-side
+  /// entry names a different line (or that come first on their side). A
+  /// folded-out entry re-touches the line its side touched last, and
+  /// nothing ran on that side in between, so it hits for every seed under
+  /// any placement and replacement; an L1 hit draws no replacement RNG and
+  /// never reaches an L2. Replay walks only `replay` and charges the
+  /// folded hits' base cycles as one per-trace constant.
+  std::vector<Entry> replay;
+  std::size_t folded_ifetch = 0;  ///< IL1 entries folded out of `replay`
+  std::size_t folded_data = 0;    ///< DL1 entries folded out of `replay`
+
   std::vector<Addr> ilines;  ///< line number per IL1 dense id
   std::vector<Addr> dlines;  ///< line number per DL1 dense id
 
@@ -51,6 +64,8 @@ struct CompactTrace {
   static CompactTrace from(const MemTrace& trace,
                            Addr line_bytes = kDefaultLineBytes);
 
+  /// Accesses in the trace (unfolded): `replay.size() + folded_ifetch +
+  /// folded_data`.
   std::size_t size() const { return entries.size(); }
 };
 

@@ -15,6 +15,11 @@ std::string IidReport::summary() const {
 }
 
 IidReport check_iid(std::span<const double> sample, double alpha) {
+  return check_iid(sample, sorted_copy(sample), alpha);
+}
+
+IidReport check_iid(std::span<const double> sample,
+                    std::span<const double> sorted, double alpha) {
   IidReport report;
   if (sample.size() < 40) {
     // Too small to reject anything; treat as passing (MBPTA requires far
@@ -23,11 +28,10 @@ IidReport check_iid(std::span<const double> sample, double alpha) {
     report.identically_distributed = true;
     return report;
   }
-  report.runs_test_p = runs_test_pvalue(sample);
+  report.runs_test_p = runs_test_pvalue(sample, sorted);
   report.ljung_box_p = ljung_box_pvalue(sample, 10);
   const std::size_t half = sample.size() / 2;
-  report.ks_split_p =
-      ks_pvalue(sample.subspan(0, half), sample.subspan(half));
+  report.ks_split_p = ks_split_pvalue(sample, sorted, half);
   report.independent =
       report.runs_test_p > alpha && report.ljung_box_p > alpha;
   report.identically_distributed = report.ks_split_p > alpha;

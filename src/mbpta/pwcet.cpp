@@ -7,9 +7,11 @@ namespace mbcr::mbpta {
 
 PwcetCurve::PwcetCurve(std::span<const double> sample,
                        const EvtConfig& config)
+    // One sort per fit: the tail fit and the i.i.d. tests read the ECCDF's
+    // sorted copy (eccdf_ is declared, so built, first).
     : eccdf_(sample),
-      tail_(fit_exponential_tail(sample, config)),
-      iid_(check_iid(sample)) {}
+      tail_(fit_exponential_tail_sorted(eccdf_.sorted(), config)),
+      iid_(check_iid(sample, eccdf_.sorted())) {}
 
 PwcetCurve PwcetCurve::from_sorted(std::span<const double> sorted,
                                    const EvtConfig& config) {

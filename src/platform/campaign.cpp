@@ -46,7 +46,7 @@ void run_campaign_into(const Machine& machine, const CompactTrace& trace,
   // threads counts the caller among the claimants (it always runs).
   const std::size_t max_helpers =
       config.threads == 0 ? SIZE_MAX : config.threads - 1;
-  const std::size_t batch = trace.size() < kBatchMinTraceEntries
+  const std::size_t batch = trace.replay.size() < kBatchMinTraceEntries
                                 ? 1
                                 : std::max<std::size_t>(1, config.batch);
   obs::Span span("campaign");
@@ -93,7 +93,7 @@ void run_campaign_into(const Machine& machine, const CompactTrace& trace,
           const CampaignMetrics& m = campaign_metrics();
           m.runs.add(end - begin);
           m.chunks.add(1);
-          if (batch == 1 && trace.size() < kBatchMinTraceEntries) {
+          if (batch == 1 && trace.replay.size() < kBatchMinTraceEntries) {
             m.tiny_trace_fallback.add(end - begin);
           }
           for (std::size_t i = begin; i < end; i += batch) {

@@ -40,21 +40,24 @@ struct CampaignConfig {
   /// A batch never crosses a chunk claim, so the effective width is also
   /// capped by `grain` — raise both to batch wider than one chunk.
   ///
-  /// End to end (perfbench, 4-core x86-64, GCC 12 Release, wall s per
-  /// operation, alternating runs): 32 vs 1 makes the two-level
-  /// `sweep_measure_l2` faster (6.8-7.4 s vs 8.6-9.1 s) and leaves the
-  /// single-level `study_crc_tac` unresolved (17.0-18.4 s vs 17.0-17.9 s).
-  /// Tiny traces are batch-setup-bound: `multipath_bs` took 6.20 s with
-  /// per-run replay vs 8.18 s with width-1 `run_batch`, so the engine
-  /// replays per run below `kBatchMinTraceEntries` entries. Larger widths
-  /// stop paying once the batch state outgrows L1d.
+  /// End to end on folded traces (`mbcr`, 4-core x86-64, GCC 12 Release,
+  /// wall s, 3 alternating pairs), 32 vs 1: the single-level crc study
+  /// (`analyze --suite crc`) 3.30-3.45 vs 6.12-6.46; a 100k-run matmult
+  /// `measure` 0.97-1.08 vs 1.23-1.40; a 400k-run crc `measure` behind a
+  /// 256-set L2 0.51-0.60 vs 0.56-0.65 (random) and 0.57-0.65 vs
+  /// 0.60-0.64 (LRU). Tiny traces are batch-setup-bound: before folding,
+  /// `multipath_bs` took 6.20 s with per-run replay vs 8.18 s with width-1
+  /// `run_batch`, so the engine replays per run below
+  /// `kBatchMinTraceEntries` replayed entries. Larger widths stop paying
+  /// once the batch state outgrows L1d.
   std::size_t batch = 32;
 };
 
-/// Traces shorter than this replay per-run regardless of
-/// `CampaignConfig::batch`: per-run placement/RNG setup dominates tiny
-/// traces and batching only adds state. (Sample-invariant either way;
-/// full adaptive width selection is a ROADMAP item.)
+/// Traces whose folded replay view (`CompactTrace::replay`) is shorter
+/// than this replay per-run regardless of `CampaignConfig::batch`: per-run
+/// placement/RNG setup dominates tiny traces and batching only adds state.
+/// The folded length is what a run actually walks, so it is what the
+/// setup cost is amortized over. (Sample-invariant either way.)
 inline constexpr std::size_t kBatchMinTraceEntries = 1024;
 
 /// Streaming sink: executes runs

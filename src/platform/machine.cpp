@@ -244,18 +244,26 @@ private:
   std::vector<std::uint32_t>& set_of_;
 };
 
+/// Base cycles of the sure hits folded out of `trace.replay`: the same
+/// for every seed, so every replay loop starts from it and walks only the
+/// folded view (see CompactTrace::replay).
+std::uint64_t folded_cycles(const CompactTrace& trace, const TimingParams& t) {
+  return trace.folded_ifetch * t.issue_cycles +
+         trace.folded_data * t.dl1_hit_cycles;
+}
+
 /// Single-level replay: an L1 miss pays the memory latency directly.
 /// Kept in its own function (like the two-level loops) so each replay
 /// flavor gets its own tight codegen.
 std::uint64_t replay_single_level(const CompactTrace& trace, FastSide& il1,
                                   FastSide& dl1, const TimingParams& t) {
-  std::uint64_t cycles = 0;
+  std::uint64_t cycles = folded_cycles(trace, t);
 #ifdef MBCR_FUZZ_FAULT
   // Deliberate bug (fuzz-harness self-test build only): the first DL1 miss
   // of a run forgets its memory-latency penalty. See fuzz/fault.hpp.
   bool fault_pending = fuzz::fault_enabled();
 #endif
-  for (const CompactTrace::Entry& e : trace.entries) {
+  for (const CompactTrace::Entry& e : trace.replay) {
     if (e.is_instr) {
       cycles += t.issue_cycles;
       if (!il1.access(e.line_id)) cycles += t.mem_latency;
@@ -283,8 +291,8 @@ std::uint64_t replay_hierarchy(const CompactTrace& trace, FastSide& il1,
                                FastSide& dl1, L2Model& l2,
                                const TimingParams& t,
                                std::uint64_t l2_latency) {
-  std::uint64_t cycles = 0;
-  for (const CompactTrace::Entry& e : trace.entries) {
+  std::uint64_t cycles = folded_cycles(trace, t);
+  for (const CompactTrace::Entry& e : trace.replay) {
     if (e.is_instr) {
       cycles += t.issue_cycles;
       if (!il1.access(e.line_id)) {
@@ -306,14 +314,14 @@ std::uint64_t replay_hierarchy(const CompactTrace& trace, FastSide& il1,
 /// replayed through every run in the batch before moving on. The batch
 /// loop bodies are independent (per-run state only), so the core overlaps
 /// B probe chains instead of serializing one. `cycles` accumulates only
-/// the per-run miss penalties — the base cost of every access is the same
-/// for all runs and is added once, after the scan (same sum, fewer
-/// memory round trips on the all-hits common path).
+/// the per-run miss penalties — the base cost of every access (folded or
+/// replayed) is the same for all runs and is added once, after the scan
+/// (same sum, fewer memory round trips on the all-hits common path).
 void replay_single_level_batch(const CompactTrace& trace, BatchSide& il1,
                                BatchSide& dl1, const TimingParams& t,
                                std::size_t batch, std::uint64_t* cycles) {
-  std::uint64_t base_cycles = 0;
-  for (const CompactTrace::Entry& e : trace.entries) {
+  std::uint64_t base_cycles = folded_cycles(trace, t);
+  for (const CompactTrace::Entry& e : trace.replay) {
     if (e.is_instr) {
       base_cycles += t.issue_cycles;
       const std::uint32_t* row = il1.set_row(e.line_id);
@@ -339,8 +347,8 @@ void replay_hierarchy_batch(const CompactTrace& trace, BatchSide& il1,
                             BatchSide& dl1, L2Model& l2,
                             const TimingParams& t, std::uint64_t l2_latency,
                             std::size_t batch, std::uint64_t* cycles) {
-  std::uint64_t base_cycles = 0;
-  for (const CompactTrace::Entry& e : trace.entries) {
+  std::uint64_t base_cycles = folded_cycles(trace, t);
+  for (const CompactTrace::Entry& e : trace.replay) {
     if (e.is_instr) {
       base_cycles += t.issue_cycles;
       const std::uint32_t uid = trace.iline_uid[e.line_id];

@@ -8,7 +8,9 @@
 // placement hash is evaluated once per unique line per run — per level:
 // the L2's placement is hashed once per unique *unified* line; accesses
 // then replay through flat tag arrays, and an L1 miss probes the L2 by
-// dense unified id.
+// dense unified id. Replay walks only the trace's folded view
+// (`CompactTrace::replay`) and charges the folded sure hits' base cycles
+// as one per-trace constant.
 //
 // `Machine::run_batch` is the measurement campaigns' hot path: it replays
 // a whole batch of runs trace-major (one pass over the entries, all runs'

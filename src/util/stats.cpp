@@ -83,23 +83,55 @@ double kolmogorov_sf(double t) {
   return std::clamp(2.0 * sum, 0.0, 1.0);
 }
 
+/// Asymptotic KS p-value of statistic `d` for sample sizes `na`, `nb`.
+double ks_pvalue_of(double d, std::size_t na, std::size_t nb) {
+  const double ne = static_cast<double>(na) * static_cast<double>(nb) /
+                    static_cast<double>(na + nb);
+  const double t = (std::sqrt(ne) + 0.12 + 0.11 / std::sqrt(ne)) * d;
+  return kolmogorov_sf(t);
+}
+
 }  // namespace
 
 double ks_pvalue(std::span<const double> a, std::span<const double> b) {
   if (a.empty() || b.empty()) return 1.0;
-  const double d = ks_statistic(a, b);
-  const double na = static_cast<double>(a.size());
-  const double nb = static_cast<double>(b.size());
-  const double ne = na * nb / (na + nb);
-  const double t = (std::sqrt(ne) + 0.12 + 0.11 / std::sqrt(ne)) * d;
-  return kolmogorov_sf(t);
+  return ks_pvalue_of(ks_statistic(a, b), a.size(), b.size());
+}
+
+double ks_split_pvalue(std::span<const double> xs,
+                       std::span<const double> sorted, std::size_t split) {
+  const std::size_t n = sorted.size();
+  if (split == 0 || split >= n) return 1.0;
+  const std::vector<double> sa = sorted_copy(xs.first(split));
+  const std::size_t nb = n - split;
+  // ks_statistic's merge walk, with the second part read out of `sorted`:
+  // each step consumes every value <= x from both parts, so sorted[is] is
+  // the smaller of the two parts' next values, and the second part has
+  // consumed is - ia of its own.
+  std::size_t is = 0;
+  std::size_t ia = 0;
+  double d = 0.0;
+  while (ia < split && is - ia < nb) {
+    const double x = sorted[is];
+    while (is < n && sorted[is] <= x) ++is;
+    while (ia < split && sa[ia] <= x) ++ia;
+    const double fa = static_cast<double>(ia) / static_cast<double>(split);
+    const double fb = static_cast<double>(is - ia) / static_cast<double>(nb);
+    d = std::max(d, std::abs(fa - fb));
+  }
+  return ks_pvalue_of(d, split, nb);
 }
 
 double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
 double runs_test_pvalue(std::span<const double> xs) {
+  return runs_test_pvalue(xs, sorted_copy(xs));
+}
+
+double runs_test_pvalue(std::span<const double> xs,
+                        std::span<const double> sorted) {
   if (xs.size() < 20) return 1.0;  // too small to dichotomize meaningfully
-  const double med = quantile(xs, 0.5);
+  const double med = quantile_sorted(sorted, 0.5);
   // Drop values exactly at the median (standard treatment of ties).
   std::vector<int> signs;
   signs.reserve(xs.size());

@@ -28,10 +28,23 @@ double ks_statistic(std::span<const double> a, std::span<const double> b);
 /// Asymptotic p-value for the two-sample KS test.
 double ks_pvalue(std::span<const double> a, std::span<const double> b);
 
+/// The same p-value for `xs`'s first `split` values against the rest,
+/// given `sorted`, an ascending copy of all of `xs` the caller already
+/// holds. Only the first part is copied and sorted: what `sorted` holds
+/// beyond it is the rest, in order. Equal to
+/// `ks_pvalue(xs.first(split), xs.subspan(split))`.
+double ks_split_pvalue(std::span<const double> xs,
+                       std::span<const double> sorted, std::size_t split);
+
 /// Wald-Wolfowitz runs test for randomness (independence) of a sequence,
 /// dichotomized around its median. Returns the two-sided p-value under the
 /// normal approximation; values very close to 0 indicate serial dependence.
 double runs_test_pvalue(std::span<const double> xs);
+
+/// Same test, with the median taken from `sorted`, an ascending copy of
+/// `xs` the caller already holds (no sort, no copy).
+double runs_test_pvalue(std::span<const double> xs,
+                        std::span<const double> sorted);
 
 /// Ljung-Box portmanteau test p-value on the first `lags` autocorrelations.
 double ljung_box_pvalue(std::span<const double> xs, std::size_t lags);

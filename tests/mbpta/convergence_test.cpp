@@ -214,7 +214,7 @@ TEST(Convergence, BatchedAndUnbatchedCampaignsConvergeIdentically) {
   const auto b = suite::make_benchmark("crc");
   const CompactTrace trace = CompactTrace::from(
       ir::lower_and_execute(b.program, b.default_input).trace);
-  ASSERT_GE(trace.size(), platform::kBatchMinTraceEntries);
+  ASSERT_GE(trace.replay.size(), platform::kBatchMinTraceEntries);
   const platform::Machine machine;
   ConvergenceConfig cfg;
   cfg.max_runs = 20000;

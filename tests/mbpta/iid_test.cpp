@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace mbcr::mbpta {
 namespace {
@@ -28,6 +30,31 @@ TEST(Iid, RejectsAutocorrelatedSample) {
   }
   const IidReport rep = check_iid(xs);
   EXPECT_FALSE(rep.independent) << rep.summary();
+}
+
+TEST(Iid, SortedFormMatchesTheStandaloneTests) {
+  // PwcetCurve hands check_iid its ECCDF's sorted copy. The runs test's
+  // median and the split KS test read it instead of sorting their own
+  // copies; every p-value must equal the standalone test on the sample —
+  // on tie-heavy integer samples (cycle counts) as well as continuous ones.
+  Xoshiro256 rng(4);
+  std::vector<double> continuous;
+  std::vector<double> ties;
+  std::vector<double> drifting{0.0};
+  for (int i = 0; i < 4001; ++i) {
+    continuous.push_back(rng.uniform01() * 100);
+    ties.push_back(static_cast<double>(1000 + rng.uniform(7) * 100));
+    drifting.push_back(0.9 * drifting.back() + rng.uniform01());
+  }
+  for (const std::vector<double>* xs : {&continuous, &ties, &drifting}) {
+    const std::span<const double> sample(*xs);
+    const std::size_t half = sample.size() / 2;
+    const IidReport got = check_iid(sample, sorted_copy(sample));
+    EXPECT_EQ(got.runs_test_p, runs_test_pvalue(sample));
+    EXPECT_EQ(got.ljung_box_p, ljung_box_pvalue(sample, 10));
+    EXPECT_EQ(got.ks_split_p,
+              ks_pvalue(sample.first(half), sample.subspan(half)));
+  }
 }
 
 TEST(Iid, RejectsDistributionDrift) {

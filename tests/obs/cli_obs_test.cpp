@@ -124,6 +124,39 @@ TEST(CliObs, MeasureCsvStdoutStaysMachineReadableWithProgressOn) {
       << result.out.substr(0, 200);
 }
 
+TEST(CliObs, BitingTacCapWarnsOnStderrOncePerPath) {
+  // bs's dominant IL1 event needs millions of runs at the default 1e-9
+  // target, far past a 2000-run cap: every path's campaign is clamped,
+  // and each says so on stderr (captured alone; stdout is dropped).
+  const std::string cmd = std::string(MBCR_MBCR_BINARY) +
+                          " analyze --suite bs --mode multipath" +
+                          " --max-runs 2000 --tac-cap 2000 --json -" +
+                          " 2>&1 >/dev/null";
+  const CommandResult result = run_command(cmd);
+  ASSERT_EQ(result.exit_code, 0) << cmd;
+  std::size_t warnings = 0;
+  for (std::size_t at = result.out.find("mbcr: warning: bs.pub [");
+       at != std::string::npos;
+       at = result.out.find("mbcr: warning: bs.pub [", at + 1)) {
+    ++warnings;
+  }
+  EXPECT_EQ(warnings, 8u) << result.out;  // bs has 8 path inputs
+  EXPECT_NE(result.out.find("(--tac-cap 2000)"), std::string::npos)
+      << result.out;
+}
+
+TEST(CliObs, TacRequirementBelowTheCapPrintsNothing) {
+  // At a 0.5 target the same bs path needs ~182k runs, under a 200k cap:
+  // nothing is clamped, so stderr stays empty.
+  const std::string cmd = std::string(MBCR_MBCR_BINARY) +
+                          " analyze --suite bs --mode pub_tac" +
+                          " --max-runs 2000 --tac-target 0.5" +
+                          " --tac-cap 200000 --json - 2>&1 >/dev/null";
+  const CommandResult result = run_command(cmd);
+  ASSERT_EQ(result.exit_code, 0) << cmd;
+  EXPECT_EQ(result.out, "") << cmd;
+}
+
 #else
 
 TEST(CliObs, SkippedWithoutPosixPopen) { GTEST_SKIP(); }

@@ -193,7 +193,7 @@ TEST(EngineEquivalence, CampaignInvariantUnderBatchWidth) {
   // identical sample. crc: long enough to clear the engine's
   // tiny-trace per-run fallback, so batching really runs.
   const TestWorkload w = test_workload("crc");
-  ASSERT_GE(w.trace.size(), kBatchMinTraceEntries);
+  ASSERT_GE(w.trace.replay.size(), kBatchMinTraceEntries);
   MachineConfig mcfg;
   mcfg.l2 = HierarchyConfig::shared_l2_random();
   const Machine machine(mcfg);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -77,6 +78,29 @@ TEST(Stats, KsPvalueRejectsShiftedDistribution) {
   for (int i = 0; i < 4000; ++i) a.push_back(rng.uniform01());
   for (int i = 0; i < 4000; ++i) b.push_back(rng.uniform01() + 0.2);
   EXPECT_LT(ks_pvalue(a, b), 1e-6);
+}
+
+TEST(Stats, KsSplitMatchesKsOnTheTwoParts) {
+  // ks_split_pvalue reads the second part out of the whole sample's sorted
+  // copy; it must equal ks_pvalue on the two parts at every split — with
+  // ties, unequal parts, disjoint ranges (one part runs out first) and
+  // the degenerate empty parts.
+  Xoshiro256 rng(12);
+  std::vector<double> ties;
+  std::vector<double> shifted;
+  for (int i = 0; i < 3001; ++i) {
+    ties.push_back(static_cast<double>(rng.uniform(9)));
+    shifted.push_back(rng.uniform01() + (i < 1000 ? 0.0 : 5.0));
+  }
+  for (const std::vector<double>* xs : {&ties, &shifted}) {
+    const std::span<const double> all(*xs);
+    const std::vector<double> sorted = sorted_copy(all);
+    for (const std::size_t split : {0u, 1u, 999u, 1000u, 1500u, 3000u, 3001u}) {
+      EXPECT_EQ(ks_split_pvalue(all, sorted, split),
+                ks_pvalue(all.first(split), all.subspan(split)))
+          << "split " << split;
+    }
+  }
 }
 
 TEST(Stats, RunsTestAcceptsIndependentData) {

@@ -204,8 +204,25 @@ core::StudyResult run_spec(const SubcommandCli::Parsed& cmd,
   return core::run_study(spec);
 }
 
+/// A TAC requirement at the run cap was clamped to it, so that path's
+/// campaign is smaller than TAC asked for. Say so on stderr, one line per
+/// path; stdout and the study JSON stay as they are.
+void warn_tac_cap(const core::StudyResult& result) {
+  const std::size_t cap = result.spec.config.tac.max_runs_cap;
+  for (const core::PathAnalysis& pa : result.paths) {
+    if (pa.tac.required_runs > 0 && pa.tac.required_runs >= cap) {
+      std::cerr << "mbcr: warning: " << pa.program_name << " ["
+                << pa.input_label << "]: TAC requirement hit the run cap "
+                << "(--tac-cap " << cap << "); campaign capped at " << cap
+                << " runs\n";
+    }
+  }
+}
+
 int cmd_analyze(const SubcommandCli::Parsed& cmd, const char* forced_mode) {
-  return emit(run_spec(cmd, forced_mode), cmd);
+  const core::StudyResult result = run_spec(cmd, forced_mode);
+  warn_tac_cap(result);
+  return emit(result, cmd);
 }
 
 int cmd_tac(const SubcommandCli::Parsed& cmd) {
