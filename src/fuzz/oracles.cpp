@@ -455,74 +455,50 @@ OracleOutcome oracle_evt(const FuzzCaseData& data, bool) {
     platform::CampaignConfig camp;
     camp.master_seed = data.case_seed;
 
+    // The sample size after each delta: the driver probes once per delta,
+    // on exactly that prefix.
     platform::CampaignSampler stream(machine, t.compact, camp);
+    std::vector<std::size_t> prefixes;
     const mbpta::ConvergenceResult inc = mbpta::converge_stream(
         [&](std::vector<double>& sample, std::size_t count) {
           stream.append_to(sample, count);
+          prefixes.push_back(sample.size());
         },
         cc);
     if (inc.sample.empty() || inc.estimates.empty()) {
       return fail(at + "convergence produced an empty sample or estimate "
                        "stream");
     }
-
-    // The legacy chunked protocol is the same estimator, refit for refit.
-    platform::CampaignSampler chunks(machine, t.compact, camp);
-    const mbpta::ConvergenceResult legacy = mbpta::converge(
-        [&](std::size_t count) {
-          std::vector<double> chunk;
-          chunks.append_to(chunk, count);
-          return chunk;
-        },
-        cc);
-    if (legacy.runs != inc.runs || legacy.converged != inc.converged ||
-        legacy.sample.size() != inc.sample.size() ||
-        legacy.estimates.size() != inc.estimates.size()) {
-      return fail(at + "converge() and converge_stream() disagree on shape");
+    if (prefixes.size() != inc.estimates.size()) {
+      return fail(at + "convergence probed a different number of prefixes "
+                       "than it grew");
     }
-    for (std::size_t i = 0; i < inc.estimates.size(); ++i) {
-      if (!bits_equal(legacy.estimates[i], inc.estimates[i])) {
+
+    // Every incremental refit equals a from-scratch fit on its prefix, and
+    // the table folded delta by delta equals one counted at once.
+    mbpta::Eccdf folded;
+    for (std::size_t i = 0; i < prefixes.size(); ++i) {
+      const std::span<const double> prefix(inc.sample.data(), prefixes[i]);
+      const double scratch =
+          mbpta::PwcetCurve(prefix, cc.evt).at(cc.probability);
+      if (!bits_equal(scratch, inc.estimates[i])) {
         std::ostringstream ss;
-        ss << at << "chunked refit " << i << " = " << legacy.estimates[i]
-           << " != streamed " << inc.estimates[i];
+        ss << at << "incremental refit " << i << " = " << inc.estimates[i]
+           << " != from-scratch fit " << scratch << " on " << prefixes[i]
+           << " runs";
         return fail(ss.str());
       }
+      folded.add(prefix.subspan(folded.size()));
     }
-
-    // The final incremental (sorted-mirror) estimate must equal a
-    // from-scratch fit on the sample the driver collected.
-    const double scratch =
-        mbpta::PwcetCurve(inc.sample, cc.evt).at(cc.probability);
-    if (!bits_equal(scratch, inc.estimates.back())) {
-      std::ostringstream ss;
-      ss << at << "incremental refit " << inc.estimates.back()
-         << " != from-scratch fit " << scratch << " on " << inc.sample.size()
-         << " runs";
-      return fail(ss.str());
+    const mbpta::Eccdf whole(inc.sample);
+    bool same_table = folded.cumulative() == whole.cumulative() &&
+                      folded.values().size() == whole.values().size();
+    for (std::size_t i = 0; same_table && i < whole.values().size(); ++i) {
+      same_table = bits_equal(folded.values()[i], whole.values()[i]);
     }
-
-    // Sorted-span entry points are bit-identical to their unsorted twins,
-    // field by field.
-    std::vector<double> sorted = inc.sample;
-    std::sort(sorted.begin(), sorted.end());
-    if (!bits_equal(mbpta::pwcet_probe_sorted(sorted, cc.probability, cc.evt),
-                    scratch)) {
-      return fail(at + "pwcet_probe_sorted != PwcetCurve::at on the same "
-                       "multiset");
-    }
-    const mbpta::ExpTailFit plain =
-        mbpta::fit_exponential_tail(inc.sample, cc.evt);
-    const mbpta::ExpTailFit presorted =
-        mbpta::fit_exponential_tail_sorted(sorted, cc.evt);
-    if (!bits_equal(plain.threshold, presorted.threshold) ||
-        !bits_equal(plain.rate, presorted.rate) ||
-        !bits_equal(plain.zeta, presorted.zeta) ||
-        plain.n_exceedances != presorted.n_exceedances ||
-        plain.n_total != presorted.n_total ||
-        !bits_equal(plain.cv, presorted.cv) ||
-        plain.cv_accepted != presorted.cv_accepted) {
-      return fail(at + "fit_exponential_tail_sorted differs from the "
-                       "unsorted fit");
+    if (!same_table) {
+      return fail(at + "count table folded delta by delta differs from the "
+                       "one counted at once");
     }
   }
   return {};
@@ -548,8 +524,9 @@ constexpr Oracle kOracles[] = {
     {"verify", "static verifier accepts the compiled original and pubbed "
                "programs",
      oracle_verify},
-    {"evt", "EVT/convergence estimator identities: incremental refit == "
-            "from-scratch fit, chunked == streamed, sorted-span == unsorted",
+    {"evt", "EVT/convergence estimator identities: every incremental refit "
+            "== a from-scratch fit on its prefix, folded table == one-shot "
+            "table",
      oracle_evt},
 };
 

@@ -44,24 +44,17 @@ ConvergenceResult converge_stream(const StreamSampler& sampler,
     }
   };
 
-  // Sorted mirror of result.sample, maintained incrementally: each delta
-  // sorts only the new chunk and merges it in, so the whole refit
-  // schedule costs O(n) per step instead of a fresh O(n log n) sort — the
-  // sample itself stays in run order (the analyzer slices it by run
-  // index). Probes on the mirror are bit-identical to probes on a
-  // freshly sorted copy: both are the same multiset in ascending order.
-  std::vector<double> sorted;
+  // Count table of result.sample, folded delta by delta: the sample itself
+  // stays in run order (the analyzer slices it by run index), and a probe
+  // on the table is bit-identical to a fresh PwcetCurve on the sample.
+  Eccdf table;
   auto probe = [&]() {
     obs::Span span("refit");
 #if !defined(MBCR_OBS_DISABLED)
     if (obs::enabled()) convergence_metrics().refits.add(1);
 #endif
-    const std::size_t merged = sorted.size();
-    sorted.insert(sorted.end(), result.sample.begin() + merged,
-                  result.sample.end());
-    std::sort(sorted.begin() + merged, sorted.end());
-    std::inplace_merge(sorted.begin(), sorted.begin() + merged, sorted.end());
-    return pwcet_probe_sorted(sorted, config.probability, config.evt);
+    table.add(std::span<const double>(result.sample).subspan(table.size()));
+    return pwcet_probe(table, config.probability, config.evt);
   };
 
   std::uint64_t refit_count = 0;
@@ -118,16 +111,6 @@ ConvergenceResult converge_stream(const StreamSampler& sampler,
   result.runs = result.sample.size();
   result.converged = false;
   return result;
-}
-
-ConvergenceResult converge(const Sampler& sampler,
-                           const ConvergenceConfig& config) {
-  return converge_stream(
-      [&sampler](std::vector<double>& sample, std::size_t count) {
-        const std::vector<double> chunk = sampler(count);
-        sample.insert(sample.end(), chunk.begin(), chunk.end());
-      },
-      config);
 }
 
 }  // namespace mbcr::mbpta

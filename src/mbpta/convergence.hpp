@@ -7,10 +7,10 @@
 // when the last `window` estimates stay within `tolerance` of their
 // median.
 //
-// Refits are incremental: the driver keeps a sorted mirror of the growing
-// sample (each delta sorts only the new chunk and merges it in) and probes
-// it through the sorted-span entry points of mbpta/{pwcet,evt}, so a refit
-// is O(n) instead of O(n log n) — bit-identical estimates either way.
+// Refits are incremental: the driver folds each delta into one growing
+// count table (mbpta::Eccdf) and probes it through `pwcet_probe`, so a
+// refit is O(distinct + tail) instead of a fresh sort of the sample —
+// bit-identical to a from-scratch PwcetCurve on the same prefix.
 #pragma once
 
 #include <cstddef>
@@ -38,10 +38,6 @@ struct ConvergenceResult {
   std::vector<double> sample;       ///< all execution times collected
 };
 
-/// `sampler(k)` must append `k` fresh execution times and return them
-/// (it is called repeatedly; the campaign owns run numbering).
-using Sampler = std::function<std::vector<double>(std::size_t)>;
-
 /// Streaming sampler (campaign engine v2): `sampler(sample, k)` appends
 /// `k` fresh execution times directly onto `sample` — the growing sample
 /// IS the campaign sink, so extending the campaign never copies what was
@@ -52,10 +48,5 @@ using StreamSampler =
 
 ConvergenceResult converge_stream(const StreamSampler& sampler,
                                   const ConvergenceConfig& config = {});
-
-/// Legacy chunk protocol, adapted onto `converge_stream` (each chunk is
-/// copied once into the sample).
-ConvergenceResult converge(const Sampler& sampler,
-                           const ConvergenceConfig& config = {});
 
 }  // namespace mbcr::mbpta

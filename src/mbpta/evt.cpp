@@ -23,20 +23,68 @@ double ExpTailFit::exceedance_prob(double t) const {
   return zeta * std::exp(-rate * (t - threshold));
 }
 
-ExpTailFit fit_exponential_tail(std::span<const double> sample,
-                                const EvtConfig& config) {
-  if (sample.empty()) return {};
-  const std::vector<double> sorted = sorted_copy(sample);
-  return fit_exponential_tail_sorted(sorted, config);
+namespace {
+
+/// The exponential model over the top `n_exc` observations, thresholded at
+/// the next one below them; `mean_excess` receives the mean excess. Mean
+/// and CV are those `mbcr::mean` and `mbcr::coefficient_of_variation`
+/// compute on the ascending excesses, operation for operation: each
+/// distinct excess is added `count` times.
+ExpTailFit fit_top(const Eccdf& eccdf, std::size_t n_exc,
+                   double& mean_excess) {
+  const std::size_t n = eccdf.size();
+  const double u = eccdf.at_rank(n - n_exc - 1);
+  const std::vector<double>& values = eccdf.values();
+  const std::vector<std::size_t>& cumulative = eccdf.cumulative();
+  // Calls f(excess, count) from the first tail rank n - n_exc upward.
+  const auto for_each_excess = [&](auto&& f) {
+    std::size_t below = n - n_exc;
+    for (auto it = std::upper_bound(cumulative.begin(), cumulative.end(),
+                                    below);
+         it != cumulative.end(); ++it) {
+      const auto i = static_cast<std::size_t>(it - cumulative.begin());
+      f(values[i] - u, *it - below);
+      below = *it;
+    }
+  };
+  double sum = 0.0;
+  for_each_excess([&sum](double x, std::size_t count) {
+    for (std::size_t c = 0; c < count; ++c) sum += x;
+  });
+  const double m = n_exc == 0 ? 0.0 : sum / static_cast<double>(n_exc);
+  double cv = 0.0;
+  if (m > 0.0 && n_exc >= 2) {
+    double acc = 0.0;
+    for_each_excess([&acc, m](double x, std::size_t count) {
+      const double sq = (x - m) * (x - m);
+      for (std::size_t c = 0; c < count; ++c) acc += sq;
+    });
+    cv = std::sqrt(acc / static_cast<double>(n_exc - 1)) / m;
+  }
+  mean_excess = m;
+  ExpTailFit fit;
+  fit.threshold = u;
+  fit.n_exceedances = n_exc;
+  fit.n_total = n;
+  fit.zeta = static_cast<double>(n_exc) / static_cast<double>(n);
+  fit.rate = m > 0.0 ? 1.0 / m : std::numeric_limits<double>::infinity();
+  fit.cv = cv;
+  return fit;
 }
 
-ExpTailFit fit_exponential_tail_sorted(std::span<const double> sorted,
-                                       const EvtConfig& config) {
-  ExpTailFit fit;
-  fit.n_total = sorted.size();
-  if (sorted.empty()) return fit;
+}  // namespace
 
-  const auto n = sorted.size();
+ExpTailFit fit_exponential_tail(std::span<const double> sample,
+                                const EvtConfig& config) {
+  return fit_exponential_tail(Eccdf(sample), config);
+}
+
+ExpTailFit fit_exponential_tail(const Eccdf& eccdf, const EvtConfig& config) {
+  ExpTailFit fit;
+  fit.n_total = eccdf.size();
+  if (eccdf.size() == 0) return fit;
+
+  const auto n = eccdf.size();
 
   // Candidate thresholds: progressively higher quantiles. Accept the first
   // that (a) has excess CV within the confidence band and (b) is
@@ -45,7 +93,7 @@ ExpTailFit fit_exponential_tail_sorted(std::span<const double> sorted,
   // observations already exceed it has its threshold below a tail knee
   // (staircase mixtures from rare cache layouts) and must move up.
   // Remember the best (closest to CV 1) consistent candidate as fallback.
-  const double sample_max = sorted.back();
+  const double sample_max = eccdf.max();
   const double probe_p = 0.1 / static_cast<double>(n);
   double tail_fraction = config.initial_tail_fraction;
   ExpTailFit best;
@@ -55,23 +103,10 @@ ExpTailFit fit_exponential_tail_sorted(std::span<const double> sorted,
         config.min_exceedances,
         static_cast<std::size_t>(static_cast<double>(n) * tail_fraction));
     if (n_exc >= n || n_exc < config.min_exceedances) break;
-    const double u = sorted[n - n_exc - 1];
-    std::vector<double> excess;
-    excess.reserve(n_exc);
-    for (std::size_t i = n - n_exc; i < n; ++i) {
-      excess.push_back(sorted[i] - u);
-    }
-    const double m = mean(excess);
-    ExpTailFit cand;
-    cand.threshold = u;
-    cand.n_exceedances = excess.size();
-    cand.n_total = n;
-    cand.zeta =
-        static_cast<double>(excess.size()) / static_cast<double>(n);
-    cand.rate = m > 0.0 ? 1.0 / m : std::numeric_limits<double>::infinity();
-    cand.cv = m > 0.0 ? coefficient_of_variation(excess) : 0.0;
+    double m = 0.0;
+    ExpTailFit cand = fit_top(eccdf, n_exc, m);
     const double band =
-        config.cv_band_sigmas / std::sqrt(static_cast<double>(excess.size()));
+        config.cv_band_sigmas / std::sqrt(static_cast<double>(n_exc));
     cand.cv_accepted = std::abs(cand.cv - 1.0) <= band;
     const bool consistent =
         m == 0.0 || cand.quantile(probe_p) >= sample_max;
@@ -90,35 +125,16 @@ ExpTailFit fit_exponential_tail_sorted(std::span<const double> sorted,
   // (top min_exceedances observations) — conservative by construction on
   // staircase mixtures.
   if (best.n_exceedances == 0 && n > 2 * config.min_exceedances) {
-    const std::size_t n_exc = config.min_exceedances;
-    const double u = sorted[n - n_exc - 1];
-    std::vector<double> excess;
-    for (std::size_t i = n - n_exc; i < n; ++i) excess.push_back(sorted[i] - u);
-    const double m = mean(excess);
-    best.threshold = u;
-    best.n_exceedances = n_exc;
-    best.n_total = n;
-    best.zeta = static_cast<double>(n_exc) / static_cast<double>(n);
-    best.rate = m > 0.0 ? 1.0 / m : std::numeric_limits<double>::infinity();
-    best.cv = m > 0.0 ? coefficient_of_variation(excess) : 0.0;
-    best.cv_accepted = false;
+    double m = 0.0;
+    best = fit_top(eccdf, config.min_exceedances, m);
   }
   // No threshold passed the CV band (heavily discrete or short tails):
   // use the closest candidate — still an exponential upper-tail model,
   // flagged as not CV-accepted.
   if (best.n_exceedances == 0 && n >= 2) {
     // Sample too small for the loop: fit on the top half.
-    const std::size_t n_exc = n / 2;
-    const double u = sorted[n - n_exc - 1];
-    std::vector<double> excess;
-    for (std::size_t i = n - n_exc; i < n; ++i) excess.push_back(sorted[i] - u);
-    const double m = mean(excess);
-    best.threshold = u;
-    best.n_exceedances = n_exc;
-    best.n_total = n;
-    best.zeta = static_cast<double>(n_exc) / static_cast<double>(n);
-    best.rate = m > 0.0 ? 1.0 / m : std::numeric_limits<double>::infinity();
-    best.cv = m > 0.0 ? coefficient_of_variation(excess) : 0.0;
+    double m = 0.0;
+    best = fit_top(eccdf, n / 2, m);
   }
   return best;
 }

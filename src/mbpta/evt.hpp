@@ -19,6 +19,8 @@
 #include <cstddef>
 #include <span>
 
+#include "mbpta/eccdf.hpp"
+
 namespace mbcr::mbpta {
 
 struct EvtConfig {
@@ -44,19 +46,18 @@ struct ExpTailFit {
   double exceedance_prob(double t) const;
 };
 
-/// Fits the exponential tail per the CV procedure. Degenerate samples
-/// (zero-variance tails) yield rate = +inf handled as a point mass.
-ExpTailFit fit_exponential_tail(std::span<const double> sample,
+/// Fits the exponential tail per the CV procedure on a count table. The
+/// excesses over each candidate threshold are summed in ascending order,
+/// each distinct value `count` times — the order a sorted copy of the
+/// sample would give — so the fit is bit-identical to one on the sorted
+/// sample, whatever the values. Degenerate samples (zero-variance tails)
+/// yield rate = +inf handled as a point mass.
+ExpTailFit fit_exponential_tail(const Eccdf& eccdf,
                                 const EvtConfig& config = {});
 
-/// Same fit on a sample that is ALREADY sorted ascending — skips the
-/// internal `sorted_copy`. The convergence driver keeps its growing
-/// sample sorted across deltas and refits through this entry point, so a
-/// probe refit is O(n) instead of O(n log n). The fit depends only on the
-/// sample's order statistics, so for equal multisets of values this is
-/// bit-identical to `fit_exponential_tail`.
-ExpTailFit fit_exponential_tail_sorted(std::span<const double> sorted,
-                                       const EvtConfig& config = {});
+/// Same fit on a raw sample (counts it first).
+ExpTailFit fit_exponential_tail(std::span<const double> sample,
+                                const EvtConfig& config = {});
 
 struct GumbelFit {
   double mu = 0.0;    ///< location

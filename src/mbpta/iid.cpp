@@ -15,11 +15,11 @@ std::string IidReport::summary() const {
 }
 
 IidReport check_iid(std::span<const double> sample, double alpha) {
-  return check_iid(sample, sorted_copy(sample), alpha);
+  return check_iid(sample, Eccdf(sample), alpha);
 }
 
-IidReport check_iid(std::span<const double> sample,
-                    std::span<const double> sorted, double alpha) {
+IidReport check_iid(std::span<const double> sample, const Eccdf& eccdf,
+                    double alpha) {
   IidReport report;
   if (sample.size() < 40) {
     // Too small to reject anything; treat as passing (MBPTA requires far
@@ -28,10 +28,13 @@ IidReport check_iid(std::span<const double> sample,
     report.identically_distributed = true;
     return report;
   }
-  report.runs_test_p = runs_test_pvalue(sample, sorted);
+  report.runs_test_p = runs_test_pvalue(sample, eccdf.quantile(0.5));
   report.ljung_box_p = ljung_box_pvalue(sample, 10);
-  const std::size_t half = sample.size() / 2;
-  report.ks_split_p = ks_split_pvalue(sample, sorted, half);
+  // First half vs second half; both are nonempty here.
+  const Eccdf first(sample.first(sample.size() / 2));
+  const Eccdf second = eccdf.minus(first);
+  report.ks_split_p =
+      ks_pvalue(ks_statistic(first, second), first.size(), second.size());
   report.independent =
       report.runs_test_p > alpha && report.ljung_box_p > alpha;
   report.identically_distributed = report.ks_split_p > alpha;

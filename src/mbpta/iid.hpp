@@ -6,6 +6,8 @@
 #include <span>
 #include <string>
 
+#include "mbpta/eccdf.hpp"
+
 namespace mbcr::mbpta {
 
 struct IidReport {
@@ -22,11 +24,11 @@ struct IidReport {
 /// Runs all tests at significance `alpha` (tests must NOT reject).
 IidReport check_iid(std::span<const double> sample, double alpha = 0.01);
 
-/// Same checks, given `sorted`, an ascending copy of `sample` the caller
-/// already holds (PwcetCurve's ECCDF): the runs test takes its median from
-/// it, and the split KS test sorts only the first half and reads the
-/// second out of it, instead of sorting fresh copies of both.
-IidReport check_iid(std::span<const double> sample,
-                    std::span<const double> sorted, double alpha = 0.01);
+/// Same checks, given `eccdf`, the count table of `sample` the caller
+/// already holds (PwcetCurve's): the runs test takes its median from it,
+/// and the split KS test counts only the first half and takes the second
+/// as the table minus the first.
+IidReport check_iid(std::span<const double> sample, const Eccdf& eccdf,
+                    double alpha = 0.01);
 
 }  // namespace mbcr::mbpta

@@ -7,26 +7,18 @@ namespace mbcr::mbpta {
 
 PwcetCurve::PwcetCurve(std::span<const double> sample,
                        const EvtConfig& config)
-    // One sort per fit: the tail fit and the i.i.d. tests read the ECCDF's
-    // sorted copy (eccdf_ is declared, so built, first).
+    // One count per fit: the tail fit and the i.i.d. tests read the
+    // ECCDF's table (eccdf_ is declared, so built, first).
     : eccdf_(sample),
-      tail_(fit_exponential_tail_sorted(eccdf_.sorted(), config)),
-      iid_(check_iid(sample, eccdf_.sorted())) {}
-
-PwcetCurve PwcetCurve::from_sorted(std::span<const double> sorted,
-                                   const EvtConfig& config) {
-  PwcetCurve out;
-  out.eccdf_ = Eccdf::from_sorted(sorted);
-  out.tail_ = fit_exponential_tail_sorted(sorted, config);
-  return out;
-}
+      tail_(fit_exponential_tail(eccdf_, config)),
+      iid_(check_iid(sample, eccdf_)) {}
 
 namespace {
 
 /// Within the resolution of the sample the empirical quantile is used;
 /// past it, the fitted exponential tail extrapolates. The blend is the
 /// max of both so the model never undercuts an actual observation —
-/// shared by PwcetCurve::at and the convergence driver's sorted probe.
+/// shared by PwcetCurve::at and the convergence driver's probe.
 double empirical_tail_blend(double empirical, const ExpTailFit& tail,
                             double p) {
   if (p >= tail.zeta) return empirical;
@@ -35,11 +27,10 @@ double empirical_tail_blend(double empirical, const ExpTailFit& tail,
 
 }  // namespace
 
-double pwcet_probe_sorted(std::span<const double> sorted, double p,
-                          const EvtConfig& config) {
-  if (sorted.empty()) return 0.0;
-  const ExpTailFit tail = fit_exponential_tail_sorted(sorted, config);
-  return empirical_tail_blend(value_at_exceedance_sorted(sorted, p), tail, p);
+double pwcet_probe(const Eccdf& eccdf, double p, const EvtConfig& config) {
+  if (eccdf.size() == 0) return 0.0;
+  return empirical_tail_blend(eccdf.value_at_exceedance(p),
+                              fit_exponential_tail(eccdf, config), p);
 }
 
 double PwcetCurve::at(double p) const {

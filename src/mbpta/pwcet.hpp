@@ -22,17 +22,9 @@ public:
   PwcetCurve() = default;
 
   /// Fits the curve on `sample` (execution times of one path campaign).
+  /// The curve keeps the sample's count table, not the sample.
   explicit PwcetCurve(std::span<const double> sample,
                       const EvtConfig& config = {});
-
-  /// Fits the curve on a sample that is ALREADY sorted ascending: skips
-  /// both internal sorts (ECCDF + tail fit), so a refit over a growing
-  /// sorted sample is near-linear. The i.i.d. diagnostics need the
-  /// run-order sequence, which a sorted sample no longer carries, so
-  /// `iid()` stays at its defaults here; `at()`/`tail()`/`eccdf()` are
-  /// identical to the sorting constructor's for equal multisets.
-  static PwcetCurve from_sorted(std::span<const double> sorted,
-                                const EvtConfig& config = {});
 
   /// pWCET at exceedance probability `p` per run.
   double at(double p) const;
@@ -73,13 +65,10 @@ private:
   double upper_bound_ = std::numeric_limits<double>::infinity();
 };
 
-/// `PwcetCurve(sample).at(p)` (no upper bound) evaluated directly on an
-/// already-sorted sample: empirical upper-tail quantile + fitted
-/// exponential tail, with no ECCDF copy and no i.i.d. tests. This is the
-/// convergence driver's per-delta probe — one O(n) pass per refit instead
-/// of a fresh O(n log n) sort. Bit-identical to the full curve's `at` for
-/// equal multisets of values.
-double pwcet_probe_sorted(std::span<const double> sorted, double p,
-                          const EvtConfig& config = {});
+/// `PwcetCurve(sample).at(p)` (no upper bound) evaluated directly on the
+/// sample's count table: empirical upper-tail quantile + fitted
+/// exponential tail, with no i.i.d. tests. This is the convergence
+/// driver's per-delta probe, O(distinct + tail) per refit.
+double pwcet_probe(const Eccdf& eccdf, double p, const EvtConfig& config = {});
 
 }  // namespace mbcr::mbpta

@@ -15,11 +15,20 @@ namespace mbcr {
 
 /// splitmix64 step: advances `state` and returns the next 64-bit value.
 /// Used both as a standalone mixer and to expand seeds for Xoshiro256.
-std::uint64_t splitmix64(std::uint64_t& state);
+/// Inline: trace replay mixes once or twice per line per run.
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// Stateless mixing hash over (value, seed); used by the random-placement
 /// cache to derive a per-run address-to-set mapping.
-std::uint64_t mix64(std::uint64_t value, std::uint64_t seed);
+inline std::uint64_t mix64(std::uint64_t value, std::uint64_t seed) {
+  std::uint64_t s = seed ^ (value * 0x9e3779b97f4a7c15ULL);
+  return splitmix64(s);
+}
 
 /// xoshiro256** engine. Satisfies UniformRandomBitGenerator.
 class Xoshiro256 {

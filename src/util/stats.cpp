@@ -83,75 +83,49 @@ double kolmogorov_sf(double t) {
   return std::clamp(2.0 * sum, 0.0, 1.0);
 }
 
-/// Asymptotic KS p-value of statistic `d` for sample sizes `na`, `nb`.
-double ks_pvalue_of(double d, std::size_t na, std::size_t nb) {
+}  // namespace
+
+double ks_pvalue(double d, std::size_t na, std::size_t nb) {
   const double ne = static_cast<double>(na) * static_cast<double>(nb) /
                     static_cast<double>(na + nb);
   const double t = (std::sqrt(ne) + 0.12 + 0.11 / std::sqrt(ne)) * d;
   return kolmogorov_sf(t);
 }
 
-}  // namespace
-
 double ks_pvalue(std::span<const double> a, std::span<const double> b) {
   if (a.empty() || b.empty()) return 1.0;
-  return ks_pvalue_of(ks_statistic(a, b), a.size(), b.size());
-}
-
-double ks_split_pvalue(std::span<const double> xs,
-                       std::span<const double> sorted, std::size_t split) {
-  const std::size_t n = sorted.size();
-  if (split == 0 || split >= n) return 1.0;
-  const std::vector<double> sa = sorted_copy(xs.first(split));
-  const std::size_t nb = n - split;
-  // ks_statistic's merge walk, with the second part read out of `sorted`:
-  // each step consumes every value <= x from both parts, so sorted[is] is
-  // the smaller of the two parts' next values, and the second part has
-  // consumed is - ia of its own.
-  std::size_t is = 0;
-  std::size_t ia = 0;
-  double d = 0.0;
-  while (ia < split && is - ia < nb) {
-    const double x = sorted[is];
-    while (is < n && sorted[is] <= x) ++is;
-    while (ia < split && sa[ia] <= x) ++ia;
-    const double fa = static_cast<double>(ia) / static_cast<double>(split);
-    const double fb = static_cast<double>(is - ia) / static_cast<double>(nb);
-    d = std::max(d, std::abs(fa - fb));
-  }
-  return ks_pvalue_of(d, split, nb);
+  return ks_pvalue(ks_statistic(a, b), a.size(), b.size());
 }
 
 double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
 
 double runs_test_pvalue(std::span<const double> xs) {
-  return runs_test_pvalue(xs, sorted_copy(xs));
+  return runs_test_pvalue(xs, quantile(xs, 0.5));
 }
 
-double runs_test_pvalue(std::span<const double> xs,
-                        std::span<const double> sorted) {
+double runs_test_pvalue(std::span<const double> xs, double median) {
   if (xs.size() < 20) return 1.0;  // too small to dichotomize meaningfully
-  const double med = quantile_sorted(sorted, 0.5);
-  // Drop values exactly at the median (standard treatment of ties).
-  std::vector<int> signs;
-  signs.reserve(xs.size());
+  // Values exactly at the median are dropped (standard treatment of ties);
+  // the rest are signs above or below it, and a run ends wherever
+  // consecutive signs differ. Branch-free: the signs are random.
+  std::size_t kept = 0;
+  std::size_t above = 0;
+  std::size_t changes = 0;
+  bool last_above = false;
   for (double x : xs) {
-    if (x > med) {
-      signs.push_back(1);
-    } else if (x < med) {
-      signs.push_back(0);
-    }
+    const bool up = x > median;
+    const bool keep = up | (x < median);
+    changes += static_cast<std::size_t>(keep & (kept != 0) & (up != last_above));
+    above += static_cast<std::size_t>(up);
+    kept += static_cast<std::size_t>(keep);
+    last_above = keep ? up : last_above;
   }
-  const auto n = static_cast<double>(signs.size());
+  const auto n = static_cast<double>(kept);
   if (n < 20) return 1.0;
-  double n1 = 0.0;
-  for (int s : signs) n1 += s;
+  const auto n1 = static_cast<double>(above);
   const double n0 = n - n1;
   if (n0 == 0.0 || n1 == 0.0) return 1.0;
-  double runs = 1.0;
-  for (std::size_t i = 1; i < signs.size(); ++i) {
-    if (signs[i] != signs[i - 1]) runs += 1.0;
-  }
+  const double runs = 1.0 + static_cast<double>(changes);
   const double mu = 2.0 * n0 * n1 / n + 1.0;
   const double var = 2.0 * n0 * n1 * (2.0 * n0 * n1 - n) / (n * n * (n - 1.0));
   if (var <= 0.0) return 1.0;
@@ -233,9 +207,21 @@ double chi2_sf(double x, std::size_t k) {
 double ljung_box_pvalue(std::span<const double> xs, std::size_t lags) {
   const auto n = static_cast<double>(xs.size());
   if (xs.size() < 3 * lags || lags == 0) return 1.0;
+  const double m = mean(xs);
+  // One accumulator per lag, each fed in index order as autocorrelation()
+  // feeds it, so every rho is bit-identical to autocorrelation(xs, h).
+  double den = 0.0;
+  std::vector<double> num(lags + 1, 0.0);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    den += (xs[i] - m) * (xs[i] - m);
+    const std::size_t top = std::min(lags, xs.size() - 1 - i);
+    for (std::size_t h = 1; h <= top; ++h) {
+      num[h] += (xs[i] - m) * (xs[i + h] - m);
+    }
+  }
   double q = 0.0;
   for (std::size_t h = 1; h <= lags; ++h) {
-    const double rho = autocorrelation(xs, h);
+    const double rho = den == 0.0 ? 0.0 : num[h] / den;
     q += rho * rho / (n - static_cast<double>(h));
   }
   q *= n * (n + 2.0);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
 
 #include "ir/interp.hpp"
 #include "mbpta/pwcet.hpp"
@@ -12,6 +14,20 @@
 
 namespace mbcr::mbpta {
 namespace {
+
+/// Chunk sampler: `sampler(k)` returns `k` fresh execution times.
+using Sampler = std::function<std::vector<double>(std::size_t)>;
+
+/// Drives converge_stream with a chunk sampler, each chunk appended once.
+ConvergenceResult converge(const Sampler& sampler,
+                           const ConvergenceConfig& config = {}) {
+  return converge_stream(
+      [&sampler](std::vector<double>& sample, std::size_t k) {
+        const std::vector<double> chunk = sampler(k);
+        sample.insert(sample.end(), chunk.begin(), chunk.end());
+      },
+      config);
+}
 
 Sampler exponential_sampler(double rate, std::uint64_t seed) {
   auto rng = std::make_shared<Xoshiro256>(seed);
@@ -93,16 +109,17 @@ TEST(Convergence, DeterministicGivenSampler) {
 }
 
 TEST(Convergence, StreamSamplerMatchesChunkSampler) {
-  // The streaming protocol (engine v2) must walk the identical
-  // delta/stability schedule as the legacy chunk protocol.
+  // Appending in place (engine v2) must walk the identical delta/stability
+  // schedule as appending a returned chunk.
   ConvergenceConfig cfg;
   cfg.max_runs = 100000;
   const ConvergenceResult chunked = converge(exponential_sampler(0.05, 7), cfg);
-  Sampler legacy = exponential_sampler(0.05, 7);
+  auto rng = std::make_shared<Xoshiro256>(7);
   const ConvergenceResult streamed = converge_stream(
-      [&legacy](std::vector<double>& sample, std::size_t k) {
-        const std::vector<double> chunk = legacy(k);
-        sample.insert(sample.end(), chunk.begin(), chunk.end());
+      [rng](std::vector<double>& sample, std::size_t k) {
+        for (std::size_t i = 0; i < k; ++i) {
+          sample.push_back(1000.0 - std::log(1.0 - rng->uniform01()) / 0.05);
+        }
       },
       cfg);
   EXPECT_EQ(chunked.converged, streamed.converged);
@@ -195,7 +212,7 @@ TEST(Convergence, WindowToleranceGovernsStability) {
 }
 
 TEST(Convergence, FinalEstimateMatchesFromScratchRefit) {
-  // The incremental sorted-merge probe must equal a full PwcetCurve fit
+  // The incremental count-table probe must equal a full PwcetCurve fit
   // of the final sample, bit for bit.
   ConvergenceConfig cfg;
   const ConvergenceResult res = converge(exponential_sampler(0.05, 33), cfg);

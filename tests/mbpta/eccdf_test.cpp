@@ -53,20 +53,6 @@ TEST(Eccdf, CurveIsMonotone) {
   EXPECT_DOUBLE_EQ(curve.back().second, 0.0);
 }
 
-TEST(Eccdf, FromSortedMatchesSortingConstructor) {
-  std::vector<double> xs;
-  for (int i = 0; i < 5000; ++i) {
-    xs.push_back(static_cast<double>((i * 7919) % 1009));
-  }
-  const Eccdf sorting(xs);
-  const Eccdf adopted = Eccdf::from_sorted(sorting.sorted());
-  EXPECT_EQ(adopted.sorted(), sorting.sorted());
-  EXPECT_DOUBLE_EQ(adopted.exceedance_prob(500.0),
-                   sorting.exceedance_prob(500.0));
-  EXPECT_DOUBLE_EQ(adopted.value_at_exceedance(1e-3),
-                   sorting.value_at_exceedance(1e-3));
-}
-
 TEST(Eccdf, CurveThinning) {
   std::vector<double> xs(100000, 0.0);
   for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = static_cast<double>(i);

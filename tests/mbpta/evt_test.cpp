@@ -143,35 +143,17 @@ TEST(PwcetCurve, EmptySample) {
   EXPECT_DOUBLE_EQ(curve.at(1e-12), 0.0);
 }
 
-TEST(ExpTailFit, SortedEntryPointMatchesUnsorted) {
-  const auto xs = exponential_sample(0.05, 20000, 11, 1000.0);
-  auto sorted = xs;
-  std::sort(sorted.begin(), sorted.end());
-  const ExpTailFit a = fit_exponential_tail(xs);
-  const ExpTailFit b = fit_exponential_tail_sorted(sorted);
-  EXPECT_EQ(a.threshold, b.threshold);
-  EXPECT_EQ(a.rate, b.rate);
-  EXPECT_EQ(a.zeta, b.zeta);
-  EXPECT_EQ(a.n_exceedances, b.n_exceedances);
-  EXPECT_EQ(a.cv, b.cv);
-  EXPECT_EQ(a.cv_accepted, b.cv_accepted);
-}
-
-TEST(PwcetCurve, FromSortedAndProbeMatchFullCurve) {
-  // The incremental-refit entry points (from_sorted, pwcet_probe_sorted)
-  // must reproduce the full curve's quantiles bit for bit — that is what
-  // lets the convergence driver probe a merged mirror instead of
-  // re-sorting every delta.
+TEST(PwcetCurve, ProbeMatchesFullCurve) {
+  // The convergence driver's probe on a count table must reproduce the
+  // full curve's quantiles bit for bit — that is what lets it refit a
+  // table folded delta by delta instead of the whole sample.
   const auto xs = exponential_sample(0.02, 5000, 12, 2000.0);
-  auto sorted = xs;
-  std::sort(sorted.begin(), sorted.end());
   const PwcetCurve full(xs);
-  const PwcetCurve adopted = PwcetCurve::from_sorted(sorted);
+  const Eccdf table(xs);
   for (const double p : {1e-3, 1e-6, 1e-12}) {
-    EXPECT_EQ(adopted.at(p), full.at(p)) << "p " << p;
-    EXPECT_EQ(pwcet_probe_sorted(sorted, p), full.at(p)) << "p " << p;
+    EXPECT_EQ(pwcet_probe(table, p), full.at(p)) << "p " << p;
   }
-  EXPECT_EQ(adopted.sample_size(), full.sample_size());
+  EXPECT_EQ(full.sample_size(), xs.size());
 }
 
 }  // namespace

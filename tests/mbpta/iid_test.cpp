@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "sorted_reference.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -32,8 +33,8 @@ TEST(Iid, RejectsAutocorrelatedSample) {
   EXPECT_FALSE(rep.independent) << rep.summary();
 }
 
-TEST(Iid, SortedFormMatchesTheStandaloneTests) {
-  // PwcetCurve hands check_iid its ECCDF's sorted copy. The runs test's
+TEST(Iid, TableFormMatchesTheStandaloneTests) {
+  // PwcetCurve hands check_iid its ECCDF's count table. The runs test's
   // median and the split KS test read it instead of sorting their own
   // copies; every p-value must equal the standalone test on the sample —
   // on tie-heavy integer samples (cycle counts) as well as continuous ones.
@@ -49,12 +50,54 @@ TEST(Iid, SortedFormMatchesTheStandaloneTests) {
   for (const std::vector<double>* xs : {&continuous, &ties, &drifting}) {
     const std::span<const double> sample(*xs);
     const std::size_t half = sample.size() / 2;
-    const IidReport got = check_iid(sample, sorted_copy(sample));
+    const IidReport got = check_iid(sample, Eccdf(sample));
     EXPECT_EQ(got.runs_test_p, runs_test_pvalue(sample));
     EXPECT_EQ(got.ljung_box_p, ljung_box_pvalue(sample, 10));
     EXPECT_EQ(got.ks_split_p,
               ks_pvalue(sample.first(half), sample.subspan(half)));
   }
+}
+
+TEST(Iid, StreamingRunsTestMatchesTheSignVectorForm) {
+  // Median ties are dropped; the streaming count must see the same sign
+  // sequence as the sign vector did, bit for bit, including the samples
+  // where most values sit exactly at the median.
+  Xoshiro256 rng(8);
+  for (const std::uint32_t spread : {2u, 3u, 5u, 40u}) {
+    for (const int n : {19, 20, 39, 41, 1000, 20001}) {
+      std::vector<double> xs;
+      for (int i = 0; i < n; ++i) {
+        const std::uint32_t r = rng.uniform(10);
+        xs.push_back(r < 6 ? 500.0 : 500.0 + rng.uniform(spread) * 10.0 - 5.0);
+      }
+      const double med = quantile(xs, 0.5);
+      EXPECT_EQ(runs_test_pvalue(xs, med), reference::runs_test_pvalue(xs, med))
+          << "spread " << spread << " n " << n;
+      EXPECT_EQ(runs_test_pvalue(xs), reference::runs_test_pvalue(xs, med));
+    }
+  }
+}
+
+TEST(Iid, TwoPassLjungBoxMatchesThePerLagForm) {
+  Xoshiro256 rng(9);
+  std::vector<double> white;
+  std::vector<double> ar{0.0};
+  std::vector<double> ties;
+  for (int i = 0; i < 5000; ++i) {
+    white.push_back(rng.uniform01() * 1000.0);
+    ar.push_back(0.7 * ar.back() + rng.uniform01());
+    ties.push_back(static_cast<double>(900 + 13 * rng.uniform(4)));
+  }
+  std::vector<double> constant(100, 3.0);
+  for (const std::vector<double>* xs : {&white, &ar, &ties, &constant}) {
+    for (const std::size_t lags : {1u, 2u, 10u, 33u}) {
+      EXPECT_EQ(ljung_box_pvalue(*xs, lags),
+                reference::ljung_box_pvalue(*xs, lags))
+          << "lags " << lags;
+    }
+  }
+  // Too short for the lags: both return 1.
+  EXPECT_EQ(ljung_box_pvalue(constant, 40), 1.0);
 }
 
 TEST(Iid, RejectsDistributionDrift) {
