@@ -22,7 +22,7 @@ Counted count_distinct(std::span<const double> xs) {
     std::uint64_t bits = 0;
     std::size_t count = 0;  ///< 0 marks an empty slot
   };
-  std::vector<Slot> slots(64);
+  std::vector<Slot> slots(1024);  // few collisions for cycle counts
   std::size_t used = 0;
   const auto home = [&slots](std::uint64_t bits) {
     return static_cast<std::size_t>(mix64(bits, 0)) & (slots.size() - 1);

@@ -4,6 +4,7 @@
 
 #include "tac/impact.hpp"
 #include "util/rng.hpp"
+#include "util/signal.hpp"
 
 namespace mbcr::tac {
 
@@ -36,6 +37,9 @@ void distribute(const ReuseProfile& profile, const CacheConfig& cache,
                 std::vector<std::size_t>& mult,
                 std::vector<ConflictGroup>& out) {
   if (remaining == 0) {
+    // One check per group evaluated: a random-L2 enumeration can run for
+    // many minutes, and SIGINT/SIGTERM must still end it promptly.
+    util::throw_if_shutdown();
     ConflictGroup g;
     g.cluster_multiplicity = mult;
     double combos = 1.0;
@@ -114,6 +118,7 @@ std::vector<ConflictGroup> enumerate_conflict_groups_exhaustive(
   for (std::size_t i = 0; i < group_size; ++i) pick[i] = i;
   bool more = true;
   while (more) {
+    util::throw_if_shutdown();
     ConflictGroup g;
     g.group_size = group_size;
     g.combination_count = 1.0;

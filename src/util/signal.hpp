@@ -1,14 +1,14 @@
 // Graceful SIGINT/SIGTERM shutdown for the long-running subcommands
-// (`mbcr fuzz`, measurement campaigns, `mbcr sweep`/`worker`).
+// (`mbcr fuzz`, measurement campaigns, TAC, `mbcr sweep`/`worker`).
 //
 // The handler only sets a lock-free flag; long loops poll it at natural
 // claim points (fuzz: between cases; campaigns: between chunk claims;
-// supervisor: each scheduling pass) and wind down instead of dying
-// mid-write: no new work is claimed, partial corpus/journal state is
-// flushed by the code that owns it, and the process exits with the
-// conventional 128+signal code (130 for SIGINT, 143 for SIGTERM) so
-// scripts can tell an interrupted run from a failed one (1), a usage
-// error (2) or a partial sweep (3).
+// TAC: per conflict group evaluated; supervisor: each scheduling pass)
+// and wind down instead of dying mid-write: no new work is claimed,
+// partial corpus/journal state is flushed by the code that owns it, and
+// the process exits with the conventional 128+signal code (130 for
+// SIGINT, 143 for SIGTERM) so scripts can tell an interrupted run from a
+// failed one (1), a usage error (2) or a partial sweep (3).
 #pragma once
 
 #include <stdexcept>

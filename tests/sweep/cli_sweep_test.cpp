@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -229,6 +230,30 @@ TEST(CliSweep, SweepInterruptedMidRunExits143AndResumeFinishes) {
   EXPECT_EQ(manifest.shards, 4u);
   EXPECT_EQ(manifest.points, 1u);
   ASSERT_EQ(run_command("rm -rf " + dir).exit_code, 0);
+}
+
+TEST(CliSweep, RandomL2TacInterruptedExits143WithinFiveSeconds) {
+  // The random-L2 conflict-group enumeration runs for many minutes on ns;
+  // it polls the shutdown flag once per group evaluated, so SIGTERM about
+  // a second in ends it with 143 long before the 5 s limit.
+  util::Child child = util::Child::spawn(
+      {kBin, "tac", "--suite", "ns", "--l2-sets", "256", "--l2-policy",
+       "random"});
+  util::SystemClock::instance().sleep_ns(1'000'000'000);
+  ASSERT_FALSE(child.poll().has_value()) << "tac finished before SIGTERM";
+  child.kill(SIGTERM);
+  std::optional<util::ExitStatus> status;
+  for (int waited = 0; waited < 5'000 && !status; waited += 50) {
+    util::SystemClock::instance().sleep_ns(50'000'000);
+    status = child.poll();
+  }
+  if (!status) {
+    child.kill(SIGKILL);
+    child.wait();
+    FAIL() << "tac still running 5 s after SIGTERM";
+  }
+  EXPECT_TRUE(status->exited);
+  EXPECT_EQ(status->exit_code, 143);
 }
 
 #endif  // __unix__ && MBCR_MBCR_BINARY
