@@ -24,8 +24,9 @@
 //   verify      the static verifier (ir/verify) accepts the compiled
 //               original and pubbed programs
 //   evt         EVT/convergence estimator identities on campaign samples:
-//               incremental (sorted-mirror) refit == from-scratch fit,
-//               chunked protocol == streamed, sorted-span fit == unsorted
+//               every incremental refit == a from-scratch fit on its
+//               prefix, and the count table folded delta by delta == the
+//               one counted at once
 //
 // Oracles are pure: they never mutate the case and are deterministic in
 // it, which is what lets the shrinker re-evaluate candidates cheaply.

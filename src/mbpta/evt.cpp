@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "util/stats.hpp"
 
 namespace mbcr::mbpta {
 
