@@ -101,7 +101,9 @@ Eccdf Eccdf::minus(const Eccdf& part) const {
     if (j < part.values_.size() && part.values_[j] == values_[i]) {
       const std::size_t taken = part.cumulative_[j] - part_below;
       part_below = part.cumulative_[j++];
-      if (taken > count) break;
+      if (taken > count) {
+        throw std::invalid_argument("Eccdf::minus: part is not a sub-multiset");
+      }
       count -= taken;
     }
     if (count == 0) continue;
@@ -109,7 +111,7 @@ Eccdf Eccdf::minus(const Eccdf& part) const {
     out.values_.push_back(values_[i]);
     out.cumulative_.push_back(total);
   }
-  if (j != part.values_.size() || total + part.size() != size()) {
+  if (j != part.values_.size()) {
     throw std::invalid_argument("Eccdf::minus: part is not a sub-multiset");
   }
   return out;

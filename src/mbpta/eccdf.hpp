@@ -31,7 +31,8 @@ public:
   void add(std::span<const double> more);
 
   /// The table of this sample with `part`'s observations taken out (the
-  /// second half of the split KS test). `part` must be a sub-multiset.
+  /// second half of the split KS test). Throws std::invalid_argument when
+  /// `part` is not a sub-multiset of this sample.
   Eccdf minus(const Eccdf& part) const;
 
   /// P(X > t) in the sample.

@@ -1,10 +1,8 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <numeric>
-#include <utility>
 
 namespace mbcr {
 
@@ -206,42 +204,6 @@ double chi2_sf(double x, std::size_t k) {
                                           x / 2.0);
 }
 
-namespace {
-
-/// sums[0] = sum of (xs[i] - m)^2 and sums[h] = sum of
-/// (xs[i] - m) * (xs[i + h] - m), h = 1..L, each in index order — the
-/// order autocorrelation() sums them in. With L fixed at compile time the
-/// L + 1 accumulators live in registers.
-template <std::size_t L>
-void lag_sums(std::span<const double> xs, double m, double* sums) {
-  std::array<double, L + 1> acc{};
-  const std::size_t n = xs.size();
-  std::size_t i = 0;
-  for (; i + L < n; ++i) {
-    acc[0] += (xs[i] - m) * (xs[i] - m);
-    for (std::size_t h = 1; h <= L; ++h) {
-      acc[h] += (xs[i] - m) * (xs[i + h] - m);
-    }
-  }
-  for (; i < n; ++i) {
-    acc[0] += (xs[i] - m) * (xs[i] - m);
-    for (std::size_t h = 1; i + h < n; ++h) {
-      acc[h] += (xs[i] - m) * (xs[i + h] - m);
-    }
-  }
-  std::copy(acc.begin(), acc.end(), sums);
-}
-
-template <std::size_t... L>
-constexpr auto lag_sum_kernels(std::index_sequence<L...>) {
-  return std::array{&lag_sums<L + 1>...};
-}
-
-/// lag_sums<1> .. lag_sums<16>.
-constexpr auto kLagSums = lag_sum_kernels(std::make_index_sequence<16>{});
-
-}  // namespace
-
 double ljung_box_pvalue(std::span<const double> xs, std::size_t lags) {
   const auto n = static_cast<double>(xs.size());
   if (xs.size() < 3 * lags || lags == 0) return 1.0;
@@ -249,14 +211,10 @@ double ljung_box_pvalue(std::span<const double> xs, std::size_t lags) {
   // sums[0] is the denominator, sums[h] the lag-h numerator: each rho is
   // bit-identical to autocorrelation(xs, h), in one pass after the mean.
   std::vector<double> sums(lags + 1, 0.0);
-  if (lags <= kLagSums.size()) {
-    kLagSums[lags - 1](xs, m, sums.data());
-  } else {
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      sums[0] += (xs[i] - m) * (xs[i] - m);
-      for (std::size_t h = 1; h <= lags && i + h < xs.size(); ++h) {
-        sums[h] += (xs[i] - m) * (xs[i + h] - m);
-      }
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    sums[0] += (xs[i] - m) * (xs[i] - m);
+    for (std::size_t h = 1; h <= lags && i + h < xs.size(); ++h) {
+      sums[h] += (xs[i] - m) * (xs[i + h] - m);
     }
   }
   double q = 0.0;

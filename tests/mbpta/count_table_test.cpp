@@ -260,6 +260,10 @@ TEST(CountTable, MinusRejectsWhatIsNotASubMultiset) {
                std::invalid_argument);
   EXPECT_THROW((void)whole.minus(Eccdf(std::vector<double>{1, 1})),
                std::invalid_argument);
+  // Over-taking one value while the sizes still add up.
+  EXPECT_THROW((void)Eccdf(std::vector<double>{1, 2})
+                   .minus(Eccdf(std::vector<double>{1, 1})),
+               std::invalid_argument);
   const Eccdf rest = whole.minus(Eccdf(std::vector<double>{2, 3}));
   EXPECT_EQ(rest.values(), (std::vector<double>{1, 2}));
   EXPECT_EQ(rest.cumulative(), (std::vector<std::size_t>{1, 2}));
