@@ -10,6 +10,18 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) {
 
 }  // namespace
 
+std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+std::uint64_t mix64(std::uint64_t value, std::uint64_t seed) {
+  std::uint64_t s = seed ^ (value * 0x9e3779b97f4a7c15ULL);
+  return splitmix64(s);
+}
+
 Xoshiro256::Xoshiro256(std::uint64_t seed) {
   for (auto& word : state_) word = splitmix64(seed);
   // All-zero state is the one invalid state for xoshiro; splitmix64 cannot

@@ -15,20 +15,11 @@ namespace mbcr {
 
 /// splitmix64 step: advances `state` and returns the next 64-bit value.
 /// Used both as a standalone mixer and to expand seeds for Xoshiro256.
-/// Inline: trace replay mixes once or twice per line per run.
-inline std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+std::uint64_t splitmix64(std::uint64_t& state);
 
 /// Stateless mixing hash over (value, seed); used by the random-placement
 /// cache to derive a per-run address-to-set mapping.
-inline std::uint64_t mix64(std::uint64_t value, std::uint64_t seed) {
-  std::uint64_t s = seed ^ (value * 0x9e3779b97f4a7c15ULL);
-  return splitmix64(s);
-}
+std::uint64_t mix64(std::uint64_t value, std::uint64_t seed);
 
 /// xoshiro256** engine. Satisfies UniformRandomBitGenerator.
 class Xoshiro256 {
